@@ -9,7 +9,9 @@ oracle in ``oracle_sql()`` with identical column names.  Rows-only (no
 oracle): extract_articles / extract_spans (full DOM/HTML columns — but
 ``extract_certificate`` SQL-certifies their text content byte-exactly via
 md5 plus span counts, media refs and metadata through a parquet sink
-roundtrip, and ``span_stats`` certifies span emission) and ivf_topk /
+roundtrip, and ``span_stats`` certifies span emission; extract_articles is
+a projection of that same span pass, so its ``length`` is certified by
+``extract_certificate`` too) and ivf_topk /
 ann_persisted_topk (pruned-approximate — but their ``*_full`` siblings
 SQL-certify the same machinery at full probe, and a pytest asserts pruned
 results are contained in brute-force top-k').

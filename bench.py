@@ -128,7 +128,7 @@ SCALING_REPEAT = int(os.environ.get("GRAFT_SCALING_REPEAT", "64"))
 
 
 def headline_only(num_cpus: int) -> None:
-    """One fresh-process measurement: warm the actor pool, then time the
+    """One fresh-process measurement: warm the worker processes, then time the
     replicated corpus (steady-state throughput — startup excluded)."""
     ray = _init_ray(num_cpus)
     # warm-up: enough blocks that every worker process spawns + imports
@@ -360,13 +360,19 @@ def fixtures_run(iterations: int = 3, warmup: int = 1) -> dict:
     ray = _init_ray(NUM_CPUS)
     import pyarrow as pa
 
-    from swift_readability_ray.stages.extract import extract_html_batch
+    from swift_readability_ray.schema import DOCUMENTS, SPAN
+    from swift_readability_ray.stages.extract import extract_spans_batch
 
-    tbl = pa.table(
-        {
-            "doc_id": pa.array([n for n, _ in docs]),
-            "html": pa.array([h for _, h in docs]),
-        }
+    tbl = pa.Table.from_arrays(
+        [
+            pa.array([n for n, _ in docs], pa.string()),
+            pa.array(
+                [[{"kind": "text", "text": h, "media_ref": "", "offset": 0}]
+                 for _, h in docs],
+                pa.list_(SPAN),
+            ),
+        ],
+        schema=DOCUMENTS,
     )
     import ray.data as rd
 
@@ -374,14 +380,14 @@ def fixtures_run(iterations: int = 3, warmup: int = 1) -> dict:
     # is 8 blocks = 8 parallel tasks; map_batches parallelism is per block)
     blocks = 3 * NUM_CPUS
     ds0 = rd.from_arrow(tbl).union(*[rd.from_arrow(tbl)] * 7).repartition(blocks)
-    ds0.map_batches(extract_html_batch, batch_size=4,
+    ds0.map_batches(extract_spans_batch, batch_size=4,
                     batch_format="pyarrow").count()  # warm workers
     t0 = time.perf_counter()
     n = (
         rd.from_arrow(tbl)
         .union(*[rd.from_arrow(tbl)] * 7)
         .repartition(blocks)
-        .map_batches(extract_html_batch, batch_size=4, batch_format="pyarrow")
+        .map_batches(extract_spans_batch, batch_size=4, batch_format="pyarrow")
         .count()
     )
     dist_secs = time.perf_counter() - t0

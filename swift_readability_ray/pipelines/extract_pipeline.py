@@ -2,7 +2,7 @@
 
     read (Lance/Parquet, column-pruned)
       → [optional] doc_id-hash partition column + skew routing
-      → map_batches(ReadabilityExtractor, actor pool, pyarrow, zero-copy)
+      → map_batches(extract_spans_batch, task pool, pyarrow, zero-copy)
       → write partitioned output + lineage + metrics
 
 Design points for 100 TB scale:
@@ -12,8 +12,8 @@ Design points for 100 TB scale:
   no semantic shuffle exists in this workload (SURVEY.md §7.2); the one
   optional exchange is a placement repartition when input files are skewed.
 - skew: per-row HTML byte size is computed vectorially; oversized rows
-  (> ``skew_threshold_bytes``) are routed to a dedicated small-batch actor
-  pool so one 50 MB document cannot stall a 4 MB-average batch.
+  (> ``skew_threshold_bytes``) are extracted one per batch so one 50 MB
+  document cannot stall a 4 MB-average batch.
 - resumable: ``run_resumable_extraction`` stages the input once into
   hash-partitioned shuffle files, then extracts each partition from its own
   staged files (pruned reads, linear total I/O) with per-partition lineage
@@ -23,20 +23,16 @@ Design points for 100 TB scale:
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..functions.hashing import mix64 as _mix64
 from ..readability.core import ExtractOptions
 from ..sources.io import read_documents
-from ..stages.extract import ReadabilityExtractor, extract_spans_batch
+from ..stages.extract import extract_spans_batch
 from ..state.lineage import LineageLog
-
-
-import numpy as np
-
-
-from ..functions.hashing import mix64 as _mix64
 
 
 # per-position byte weights (cycle mod 64), fixed at import → placement is
@@ -111,67 +107,45 @@ def extraction_dataset(
     options: ExtractOptions | None = None,
     base_url: str = "http://localhost/",
     batch_size: int = 32,
-    concurrency: int | tuple[int, int] | None = None,
+    concurrency: int | None = None,
     skew_threshold_bytes: int | None = 4 << 20,
     include_content_html: bool = True,
     override_num_blocks: int | None = None,
-    pool: str = "tasks",
 ) -> ray.data.Dataset:
     """Build the lazy extraction Dataset (streaming; caller consumes it).
 
-    ``pool="tasks"`` (default) runs the extractor as plain map_batches tasks
-    on warm worker processes (regex state is module-level — measured ~2×
-    faster than an actor pool on this workload); ``pool="actors"`` uses the
-    autoscaling actor pool for deployments where per-actor state must be
-    isolated or is expensive to build.
+    The extractor runs as plain ``map_batches`` tasks on warm worker
+    processes (its regex state is module-level); ``concurrency`` caps the
+    number of concurrent tasks.
     """
     ds = read_documents(
         input_path,
         columns=["doc_id", "spans"],
         override_num_blocks=override_num_blocks,
     )
-
-    fn_opts = {
-        "options": options,
-        "base_url": base_url,
-        "include_content_html": include_content_html,
-    }
-    if pool not in ("tasks", "actors"):
-        raise ValueError(f"pool must be 'tasks' or 'actors', got {pool!r}")
-    if pool == "tasks":
-        kwargs = dict(
-            fn_kwargs=fn_opts, batch_format="pyarrow", zero_copy_batch=True
-        )
-        extractor = extract_spans_batch
-        if concurrency is not None:
-            # tasks pool: cap max concurrent tasks; a (min,max) tuple is
-            # actor-pool-only, so take its max for the task cap
-            kwargs["concurrency"] = (
-                concurrency if isinstance(concurrency, int) else concurrency[1]
-            )
-    else:
-        kwargs = dict(
-            fn_constructor_kwargs=fn_opts, batch_format="pyarrow", zero_copy_batch=True
-        )
-        extractor = ReadabilityExtractor
-        if concurrency is not None:
-            kwargs["concurrency"] = concurrency
+    kwargs = dict(
+        fn_kwargs={
+            "options": options,
+            "base_url": base_url,
+            "include_content_html": include_content_html,
+        },
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
+    if concurrency is not None:
+        kwargs["concurrency"] = concurrency
 
     if skew_threshold_bytes is None:
-        return ds.map_batches(extractor, batch_size=batch_size, **kwargs)
+        return ds.map_batches(extract_spans_batch, batch_size=batch_size, **kwargs)
 
-    # Skew-aware split (SURVEY.md §4.2): giant-HTML rows go to a dedicated
-    # small-batch pool so they can't straggle an average batch.  Both pools
-    # MUST autoscale from 1 actor: two fixed-size pools can reserve every
-    # CPU and deadlock the read/write tasks on a small cluster.
+    # Skew-aware split (SURVEY.md §4.2): giant-HTML rows are extracted one
+    # per batch so they can't straggle an average batch.
     # Trade-off: the two filter branches each re-execute the (column-pruned)
     # read + cheap size tagging — Ray re-runs lineage per consumer.  When
     # the double read matters (very large inputs), run the resumable path
     # instead: its staging pass materializes hash partitions once and every
     # later read is from staged files; or pass skew_threshold_bytes=None
     # and rely on per-task isolation alone.
-    if pool == "actors" and isinstance(kwargs.get("concurrency"), int):
-        kwargs["concurrency"] = (1, kwargs["concurrency"])
     sized = ds.map_batches(_span_bytes, batch_format="pyarrow", zero_copy_batch=True)
     small = sized.filter(expr=f"payload_bytes <= {skew_threshold_bytes}").drop_columns(
         ["payload_bytes"]
@@ -179,8 +153,8 @@ def extraction_dataset(
     large = sized.filter(expr=f"payload_bytes > {skew_threshold_bytes}").drop_columns(
         ["payload_bytes"]
     )
-    small_out = small.map_batches(extractor, batch_size=batch_size, **kwargs)
-    large_out = large.map_batches(extractor, batch_size=1, **kwargs)
+    small_out = small.map_batches(extract_spans_batch, batch_size=batch_size, **kwargs)
+    large_out = large.map_batches(extract_spans_batch, batch_size=1, **kwargs)
     return small_out.union(large_out)
 
 
@@ -190,7 +164,7 @@ def run_extraction(
     options: ExtractOptions | None = None,
     base_url: str = "http://localhost/",
     batch_size: int = 32,
-    concurrency: int | tuple[int, int] | None = None,
+    concurrency: int | None = None,
     skew_threshold_bytes: int | None = 4 << 20,
 ) -> dict:
     """Single streaming pass: read → extract → partitioned parquet write."""
@@ -207,27 +181,12 @@ def run_extraction(
     return {"output_path": output_path, "stats": stats}
 
 
-def _parquet_row_count(path: str) -> int:
-    """Row count from parquet footers only (no data read)."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    total = 0
-    for root, _dirs, files in os.walk(path):
-        for name in files:
-            if name.endswith(".parquet"):
-                total += pq.ParquetFile(os.path.join(root, name)).metadata.num_rows
-    return total
-
-
 def _partition_metrics(path: str) -> dict:
     """Per-partition extraction metrics (north rule: docs processed,
     candidates scored, bytes parsed) from the written partition's own
     columns — exact, derived from data, no side channel to lose on retry."""
     import os
 
-    import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
     docs = failed = candidates = input_bytes = wall_us = 0
@@ -261,7 +220,6 @@ def run_resumable_extraction(
     options: ExtractOptions | None = None,
     base_url: str = "http://localhost/",
     batch_size: int = 32,
-    concurrency: int | tuple[int, int] | None = None,
     fail_after_partitions: int | None = None,
 ) -> dict:
     """Partitioned, resumable run with per-partition lineage commits.
@@ -333,8 +291,9 @@ def run_resumable_extraction(
             out.write_parquet(part_dir)
         else:  # hash bucket got no rows
             os.makedirs(part_dir, exist_ok=True)
-        row_count = _parquet_row_count(part_dir)
-        log.record(part, row_count, extra=_partition_metrics(part_dir))
+        metrics = _partition_metrics(part_dir)
+        row_count = metrics["docs_processed"]
+        log.record(part, row_count, extra=metrics)
         completed_now.append(part)
         processed += row_count
         if fail_after_partitions is not None and len(completed_now) >= fail_after_partitions:

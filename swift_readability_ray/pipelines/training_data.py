@@ -29,7 +29,6 @@ from ..stages import dedup as D
 from ..stages import graph as G
 from ..stages import similarity as S
 from ..stages import text_analysis as TA
-from ..stages.extract import HtmlExtractor, extract_html_batch  # noqa: F401
 
 
 def _docs(sf_dir: str, columns=None) -> ray.data.Dataset:
@@ -90,30 +89,16 @@ def _docs_sized(sf_dir: str, columns=None, rows_per_block: int = 4096):
 # materialized blocks live in the object store).
 _MINHASH_PAIR_CACHE: dict = {}
 
-# full extraction outputs over the synthesized page corpus, materialized per
-# sf_dir — extract_articles / extract_metadata / readerable_flags are
-# different projections of ONE extraction pass, and extract_spans /
-# span_stats of one span-pipeline pass; a job running several pays once
-# (same session-reuse principle as the pair cache)
-_PAGE_EXTRACT_CACHE: dict = {}
+# the span extraction over the synthesized page corpus, materialized per
+# sf_dir — extract_spans / span_stats / extract_certificate and the page
+# queries (extract_articles / extract_metadata / readerable_flags, which
+# project it to _PAGE_EXTRACT_COLUMNS) all read ONE extraction pass; a job
+# running several pays once (same session-reuse principle as the pair cache)
 _SPAN_EXTRACT_CACHE: dict = {}
 
 _PAGE_EXTRACT_COLUMNS = [
     "doc_id", "title", "byline", "excerpt", "length", "readerable", "error",
 ]
-
-
-def _extracted_pages(sf_dir: str) -> ray.data.Dataset:
-    if sf_dir not in _PAGE_EXTRACT_CACHE:
-        ds = _docs(sf_dir, columns=["doc_id", "text", "source"])
-        _PAGE_EXTRACT_CACHE[sf_dir] = ds.map_batches(
-            _synthesize_and_extract,
-            fn_kwargs={"select": _PAGE_EXTRACT_COLUMNS},
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=64,
-        ).materialize()
-    return _PAGE_EXTRACT_CACHE[sf_dir]
 
 
 def _extracted_spans(sf_dir: str) -> ray.data.Dataset:
@@ -838,9 +823,14 @@ def extract_spans(sf_dir: str, batch_size: int = 64) -> ray.data.Dataset:
     9.7k docs/s at 32 on the 32-CPU sweep); oversized rows are the skew
     split's job, not the batch size's.
     """
+    ds = _docs(sf_dir, columns=["doc_id", "text", "source"])
+    return _extract_span_docs(ds, batch_size)
+
+
+def _extract_span_docs(ds: ray.data.Dataset, batch_size: int) -> ray.data.Dataset:
+    """documents rows → synthesized span docs → OUT rows."""
     from ..stages.extract import extract_spans_batch
 
-    ds = _docs(sf_dir, columns=["doc_id", "text", "source"])
     span_docs = ds.map_batches(
         _to_span_docs, batch_format="pyarrow", zero_copy_batch=True
     )
@@ -981,26 +971,16 @@ def extract_certificate(sf_dir: str) -> pa.Table:
 def extract_spans_repeated(sf_dir: str, repeat: int, batch_size: int = 64) -> ray.data.Dataset:
     """Span-pipeline headline over the input replicated ``repeat``× (bench:
     a corpus large enough that steady-state compute dominates startup)."""
-    from ..schema import SPAN  # noqa: F401
-    from ..stages.extract import extract_spans_batch
-
     n_cpus = int(ray.cluster_resources().get("CPU", 8))
+    # ~3 blocks per CPU: enough granularity to avoid a straggler tail, few
+    # enough to keep per-task overhead negligible (measured sweet spot;
+    # SURVEY.md §4.2 scaling-efficiency mitigation).
     ds = ray.data.read_parquet(
         [f"{sf_dir}/documents.parquet"] * repeat,
         columns=["doc_id", "text", "source"],
         override_num_blocks=max(3 * n_cpus, repeat),
     )
-    span_docs = ds.map_batches(
-        _to_span_docs, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return span_docs.map_batches(
-        extract_spans_batch,
-        fn_kwargs={"base_url": "http://testdata.local/doc.html",
-                   "include_content_html": False},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-    )
+    return _extract_span_docs(ds, batch_size)
 
 
 def events_value_buckets(sf_dir: str) -> pa.Table:
@@ -1241,7 +1221,7 @@ def readerable_flags(sf_dir: str) -> pa.Table:
     """Per-doc isProbablyReaderable over the synthesized pages — the real
     heuristic (sqrt score over visible p/pre/article nodes), not a length
     proxy (rows-only: the DOM walk is not SQL-expressible)."""
-    out = _extracted_pages(sf_dir).select_columns(["doc_id", "readerable"])
+    out = _extracted_spans(sf_dir).select_columns(["doc_id", "readerable"])
     return pa.concat_tables(
         [b for b in out.iter_batches(batch_format="pyarrow")]
     ).sort_by("doc_id")
@@ -1513,7 +1493,7 @@ def extract_metadata(sf_dir: str) -> pa.Table:
     the extraction core (parse → metadata merge → title heuristics) emits
     exactly the right values for every document.
     """
-    out = _extracted_pages(sf_dir).select_columns(
+    out = _extracted_spans(sf_dir).select_columns(
         ["doc_id", "title", "byline", "excerpt"]
     )
     return pa.concat_tables(
@@ -1554,71 +1534,11 @@ def extract_articles(sf_dir: str) -> ray.data.Dataset:
     """Flagship: wrap each document's text in a deterministic HTML page and
     run the full extraction pipeline (rows-only oracle: not SQL-expressible).
 
-    Task-pool form (no ``concurrency`` arg): stateless function on warm
-    worker processes with module-level regex state — measured ~2× an
-    autoscaling actor pool on this workload (see ``_synthesize_and_extract``)
-    and it scales to however many CPUs the cluster has.  Served from the
-    session extraction cache: extract_metadata / readerable_flags are
-    projections of the same pass.
+    A projection of the session span extraction (:func:`_extracted_spans`):
+    extract_metadata / readerable_flags / extract_spans / span_stats /
+    extract_certificate read the same pass.
     """
-    return _extracted_pages(sf_dir)
-
-
-def extract_articles_repeated(sf_dir: str, repeat: int,
-                              batch_size: int = 64) -> ray.data.Dataset:
-    """Headline pipeline over the input replicated ``repeat``× (bench use:
-    a corpus large enough that compute dominates fixed startup)."""
-    n_cpus = int(ray.cluster_resources().get("CPU", 8))
-    # ~3 blocks per CPU: enough granularity to avoid a straggler tail, few
-    # enough to keep per-task overhead negligible (measured sweet spot;
-    # SURVEY.md §4.2 scaling-efficiency mitigation).
-    ds = ray.data.read_parquet(
-        [f"{sf_dir}/documents.parquet"] * repeat,
-        columns=["doc_id", "text", "source"],
-        override_num_blocks=max(3 * n_cpus, repeat),
-    )
-    return _extract_pages(ds, batch_size)
-
-
-def _synthesize_and_extract(
-    batch: pa.Table,
-    include_content_html: bool = False,
-    select: list[str] | None = None,
-) -> pa.Table:
-    """Fused page-synthesis + extraction (one stage: no intermediate blocks).
-
-    Task-pool form on warm worker processes with module-level regex state —
-    measured ~2× an autoscaling actor pool on this workload (stages/extract.py).
-    """
-    from ..stages.extract import HtmlExtractor, _cached_extractor
-
-    ids = batch.column("doc_id").to_pylist()
-    texts = batch.column("text").to_pylist()
-    sources = batch.column("source").to_pylist()
-    pages = pa.table(
-        {
-            "doc_id": pa.array([str(i) for i in ids], pa.string()),
-            "html": pa.array(
-                [synthesize_page(str(i), t or "", s or "") for i, t, s in zip(ids, texts, sources)],
-                pa.string(),
-            ),
-        }
-    )
-    ex = _cached_extractor(
-        HtmlExtractor, None, "http://testdata.local/doc.html", include_content_html
-    )
-    return ex(pages).select(
-        select or ["doc_id", "title", "byline", "length", "readerable", "error"]
-    )
-
-
-def _extract_pages(ds: ray.data.Dataset, batch_size: int) -> ray.data.Dataset:
-    return ds.map_batches(
-        _synthesize_and_extract,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-    )
+    return _extracted_spans(sf_dir).select_columns(_PAGE_EXTRACT_COLUMNS)
 
 
 def synthesize_page(doc_id: str, text: str, source: str) -> str:

@@ -3,8 +3,8 @@
 Semantics follow Mozilla Readability.js v0.6.0 (public, Apache-2.0; vendored
 read-only in the reference repo at tmp-readability/Readability.js:140-200 and
 mirrored by the reference's RegExUtil — Sources/SwiftReadability/RegExUtil.swift).
-Compiled once per actor process (SURVEY.md §2.3): importing this module is the
-"stateful setup" of the extraction actor pool.
+Compiled once per worker process (SURVEY.md §2.3): importing this module is
+the "stateful setup" of the extraction stage.
 """
 
 from __future__ import annotations

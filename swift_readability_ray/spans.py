@@ -4,7 +4,8 @@ Deterministic mapping (SURVEY.md §1.2, FIXTURES.md §1):
 
 * **Reassembly** (input spans → HTML): concatenate spans in ``offset`` order;
   a text span contributes ``span.text`` verbatim; a media span contributes
-  ``<img src="{media_ref}"/>``.
+  ``<img src="{media_ref}"/>`` with the ref attribute-escaped, so it parses
+  back to exactly ``media_ref``.
 * **Emission** (extracted article DOM → output spans): walk the article
   element in document order; contiguous text runs become ``kind="text"``
   spans (whitespace-normalized, empty runs skipped); retained media elements
@@ -16,6 +17,8 @@ Deterministic mapping (SURVEY.md §1.2, FIXTURES.md §1):
 """
 
 from __future__ import annotations
+
+from html import escape
 
 from .dom import Element, TextNode, normalize_ws
 from .regexps import SRCSET_URL
@@ -39,7 +42,7 @@ def spans_to_html(spans: list[dict]) -> str:
     parts: list[str] = []
     for span in sorted(spans, key=lambda s: s["offset"]):
         if span["kind"] == "media":
-            parts.append(f'<img src="{span["media_ref"]}"/>')
+            parts.append(f'<img src="{escape(span["media_ref"], quote=True)}"/>')
         else:
             parts.append(span["text"] or "")
     return "".join(parts)

@@ -1,22 +1,24 @@
-"""Actor-pool extraction stage: spans → article spans + metadata columns.
+"""Extraction stage: spans → article spans + metadata columns.
 
 The single fused per-row transform of SURVEY.md §3.4: all extraction phases
-(parse, metadata, preprocess, grabArticle, prepArticle, postprocess, span
-emission) run inside one ``map_batches`` callable-class UDF so the DOM never
-crosses a stage boundary.  Stateful setup (compiled regex table via module
-import, frozen options) happens once per actor in ``__init__``; per-row
-failures are captured in the ``error`` column instead of failing the batch
-(ArticleGrabber-style robustness, SURVEY.md §4.2).
+(span reassembly, parse, metadata, preprocess, grabArticle, prepArticle,
+postprocess, span emission) run inside one ``map_batches`` UDF so the DOM
+never crosses a stage boundary.  The heavy state (compiled regex table, tag
+sets) lives at module scope, so it is built once per worker process and
+shared by every task that lands there; per-row failures are captured in the
+``error`` column instead of failing the batch (ArticleGrabber-style
+robustness, SURVEY.md §4.2).  Work counters ride the OUT rows
+(``n_candidates``, ``input_bytes``, ``wall_us``), so metrics come from data
+columns alone.
 
 Usage::
 
     ds.map_batches(
-        ReadabilityExtractor,
-        fn_constructor_kwargs={"options": ExtractOptions(), "base_url": ...},
+        extract_spans_batch,
+        fn_kwargs={"options": ExtractOptions(), "base_url": ...},
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=32,                # HTML rows are fat — keep batches small
-        concurrency=(2, 16),          # actor pool, autoscaling
     )
 """
 
@@ -27,12 +29,12 @@ import time
 import pyarrow as pa
 
 from ..readability.core import ExtractOptions, Extractor
-from ..schema import OUT, SPAN
+from ..schema import OUT
 from ..spans import emit_spans, spans_to_html
 
 
 class ReadabilityExtractor:
-    """Callable-class UDF for ``Dataset.map_batches`` (pyarrow batches)."""
+    """Batch extractor over ``(doc_id, spans)`` pyarrow tables."""
 
     def __init__(
         self,
@@ -40,17 +42,9 @@ class ReadabilityExtractor:
         base_url: str = "http://localhost/",
         include_content_html: bool = True,
     ) -> None:
-        # Once-per-actor setup: options are frozen; the regex table and the
-        # parser machinery live at module scope (imported once per process).
         self.options = options or ExtractOptions()
         self.base_url = base_url
         self.include_content_html = include_content_html
-        # per-actor running counters, exposed for metrics collection
-        self.docs_processed = 0
-        self.docs_failed = 0
-        self.bytes_parsed = 0
-        self.candidates_scored = 0
-        self.wall_seconds = 0.0
 
     def extract_one(self, doc_id: str, spans: list[dict]) -> dict:
         """Extraction for one row, timed — ``wall_us`` rides the OUT row so
@@ -62,8 +56,6 @@ class ReadabilityExtractor:
         return row
 
     def _extract_one_inner(self, doc_id: str, spans: list[dict]) -> dict:
-        html = spans_to_html(spans)
-        self.bytes_parsed += len(html)
         row = {
             "doc_id": doc_id,
             "spans": [],
@@ -80,19 +72,18 @@ class ReadabilityExtractor:
             "readerable": False,
             "error": None,
             "n_candidates": 0,
-            "input_bytes": len(html),
+            "input_bytes": 0,
         }
         extractor = Extractor(self.options)
         try:
+            html = spans_to_html(spans)
+            row["input_bytes"] = len(html)
             result = extractor.parse(html, self.base_url)
         except Exception as exc:  # per-row isolation: never fail the batch
-            self.docs_failed += 1
             row["error"] = f"{type(exc).__name__}: {exc}"
-            row["n_candidates"] = extractor.candidates_scored
-            self.candidates_scored += extractor.candidates_scored
             return row
-        row["n_candidates"] = extractor.candidates_scored
-        self.candidates_scored += extractor.candidates_scored
+        finally:
+            row["n_candidates"] = extractor.candidates_scored
         if result is None:
             row["error"] = "no-article"
             return row
@@ -113,15 +104,12 @@ class ReadabilityExtractor:
         return row
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        start = time.perf_counter()
         doc_ids = batch.column("doc_id").to_pylist()
         span_lists = batch.column("spans").to_pylist()
         rows = [
             self.extract_one(doc_id, spans or [])
             for doc_id, spans in zip(doc_ids, span_lists)
         ]
-        self.docs_processed += len(rows)
-        self.wall_seconds += time.perf_counter() - start
         return rows_to_table(rows)
 
 
@@ -133,46 +121,16 @@ def rows_to_table(rows: list[dict]) -> pa.Table:
     return pa.Table.from_arrays(arrays, schema=OUT)
 
 
-class HtmlExtractor(ReadabilityExtractor):
-    """Variant over a plain ``(doc_id, html)`` table (no span input)."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:  # type: ignore[override]
-        start = time.perf_counter()
-        doc_ids = batch.column("doc_id").to_pylist()
-        htmls = batch.column("html").to_pylist()
-        rows = [
-            self.extract_one(
-                str(doc_id),
-                [{"kind": "text", "text": html or "", "media_ref": "", "offset": 0}],
-            )
-            for doc_id, html in zip(doc_ids, htmls)
-        ]
-        self.docs_processed += len(rows)
-        self.wall_seconds += time.perf_counter() - start
-        return rows_to_table(rows)
-
-
-# ---------------------------------------------------------------------------
-# Task-pool variants.
-#
-# The extractor's "heavy" state (compiled regex table, tag sets) lives at
-# module scope, so it is built once per *worker process* and shared by every
-# task that lands there.  Plain-function map_batches then beats an actor pool
-# on this workload: tasks reuse Ray's warm worker processes (no per-pipeline
-# actor startup/ramp-up) and scale instantly to every free CPU.  Measured on
-# this container: ~2× throughput vs an autoscaling actor pool.  Use the
-# actor-pool classes above when per-actor state is genuinely expensive
-# (models, indexes) or must not be shared process-wide.
-# ---------------------------------------------------------------------------
-
 _CACHED: dict[tuple, ReadabilityExtractor] = {}
 
 
-def _cached_extractor(cls, options, base_url, include_content_html):
-    key = (cls.__name__, options, base_url, include_content_html)
+def _cached_extractor(options, base_url, include_content_html):
+    key = (options, base_url, include_content_html)
     ex = _CACHED.get(key)
     if ex is None:
-        ex = cls(options=options, base_url=base_url, include_content_html=include_content_html)
+        ex = ReadabilityExtractor(
+            options=options, base_url=base_url, include_content_html=include_content_html
+        )
         _CACHED[key] = ex
     return ex
 
@@ -183,15 +141,6 @@ def extract_spans_batch(
     base_url: str = "http://localhost/",
     include_content_html: bool = True,
 ) -> pa.Table:
-    """Task-pool form of :class:`ReadabilityExtractor` (spans input)."""
-    return _cached_extractor(ReadabilityExtractor, options, base_url, include_content_html)(batch)
-
-
-def extract_html_batch(
-    batch: pa.Table,
-    options: ExtractOptions | None = None,
-    base_url: str = "http://localhost/",
-    include_content_html: bool = True,
-) -> pa.Table:
-    """Task-pool form of :class:`HtmlExtractor` ((doc_id, html) input)."""
-    return _cached_extractor(HtmlExtractor, options, base_url, include_content_html)(batch)
+    """``map_batches`` UDF: a process-cached :class:`ReadabilityExtractor`
+    over one ``(doc_id, spans)`` batch."""
+    return _cached_extractor(options, base_url, include_content_html)(batch)

@@ -86,9 +86,9 @@ _PARSER: PdfLayoutParser | None = None
 
 def parse_pdf_batch(batch: pa.Table) -> pa.Table:
     """Task-pool form of :class:`PdfLayoutParser`: a module-cached instance
-    on warm worker processes — same rationale as the extraction stage's
-    ``_cached_extractor`` (no actor-pool spin-up per pipeline; the parser
-    state is compiled module regexes, safe to share within a process)."""
+    on warm worker processes — no actor-pool spin-up per pipeline; the
+    parser state is compiled module regexes, safe to share within a
+    process."""
     global _PARSER
     if _PARSER is None:
         _PARSER = PdfLayoutParser()

@@ -72,7 +72,6 @@ def test_resumable_no_dup_no_loss(ray_session, fixture_corpus_dir, tmp_path):
             out,
             num_partitions=4,
             base_url=BASE_URL,
-            concurrency=2,
             fail_after_partitions=2,
         )
     # partial state: exactly 2 partitions committed
@@ -86,7 +85,6 @@ def test_resumable_no_dup_no_loss(ray_session, fixture_corpus_dir, tmp_path):
         out,
         num_partitions=4,
         base_url=BASE_URL,
-        concurrency=2,
     )
     assert res["partitions_completed"] == [0, 1, 2, 3]
 
@@ -111,6 +109,11 @@ def test_error_isolation(ray_session, tmp_path):
         ("good", [{"kind": "text", "text": "<html><body><div><p>" + ("Fine text, with commas, here. " * 30) + "</p></div></body></html>", "media_ref": "", "offset": 0}]),
         ("empty", []),
         ("blank", [{"kind": "text", "text": "", "media_ref": "", "offset": 0}]),
+        # a null offset cannot be ordered: reassembly itself raises
+        ("null-offset", [
+            {"kind": "text", "text": "<p>a</p>", "media_ref": "", "offset": 0},
+            {"kind": "media", "text": "", "media_ref": "/m.png", "offset": None},
+        ]),
     ]
     tbl = pa.Table.from_arrays(
         [
@@ -130,6 +133,8 @@ def test_error_isolation(ray_session, tmp_path):
     assert by_id["good"]["spans"]
     assert by_id["empty"]["error"] == "no-article"
     assert by_id["blank"]["error"] == "no-article"
+    assert by_id["null-offset"]["error"].startswith("TypeError")
+    assert by_id["null-offset"]["spans"] == []
 
 
 def test_partition_metrics_checkpointed(ray_session, fixture_corpus_dir, tmp_path):

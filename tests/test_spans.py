@@ -55,3 +55,24 @@ def test_roundtrip_article():
     html2 = spans_to_html(spans)
     doc2 = parse(f"<body>{html2}</body>")
     assert emit_spans(doc2.body) == spans
+
+
+def test_media_ref_roundtrips_through_reassembly():
+    refs = [
+        "http://x/q\"uote.png",
+        "http://x/a.png?a=1&copy=2",
+        "http://x/it's.png",
+        "http://x/<lt>.png",
+        "http://x/&amp;.png",
+        "http://x/plain.png",
+    ]
+    for ref in refs:
+        html = spans_to_html(
+            [
+                {"kind": "text", "text": "<p>before</p>", "media_ref": "", "offset": 0},
+                {"kind": "media", "text": "", "media_ref": ref, "offset": 1},
+            ]
+        )
+        doc = parse(f"<body>{html}</body>")
+        media = [s for s in emit_spans(doc.body) if s["kind"] == "media"]
+        assert [s["media_ref"] for s in media] == [ref]
