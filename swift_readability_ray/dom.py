@@ -16,6 +16,17 @@ elements (``_adoption_agency``: active-formatting-elements list with
 Noah's-Ark clamping, furthest-block search, the inner reconstruction loop
 and bookmark reinsertion).
 
+Navigation and edits are O(1) per step.  Every node keeps a hint at its
+index in its parent's child list (``Node._pos``, checked by identity, so a
+stale hint only costs a C-level ``list.index``), and every element keeps a
+cache version (``Element._ver``) that the text, inner-text and link-density
+caches are keyed on.  Invariant: every change to structure, text or an
+``href`` goes through the edit methods (``append_child``, ``insert_before``,
+``remove_child``, ``replace_child``, ``set_attribute``, ``remove_attribute``),
+which advance the version of each element on the ancestor path.  Only the
+tree builder writes ``child_nodes`` and ``TextNode.data`` directly, before
+any cache over the tree exists (``clone_node`` likewise builds a fresh tree).
+
 Designed for use inside Ray Data ``map_batches`` actor UDFs: a parser instance
 is cheap, holds no global state, and every document's tree is private to one
 row (see SURVEY.md §1.2 — per-row transient state never crosses rows).
@@ -152,26 +163,47 @@ _WS_RE = re.compile(r"\s+")
 # ---------------------------------------------------------------------------
 
 
-class Node:
-    """Base DOM node."""
+def _bump(el: "Element | None") -> None:
+    """Advance the cache version of ``el`` and of every ancestor: the text
+    and link-density of each of them may have changed."""
+    while el is not None:
+        el._ver += 1
+        el = el.parent
 
-    __slots__ = ("parent",)
+
+class Node:
+    """Base DOM node.
+
+    ``_pos`` is a hint at this node's index in ``parent.child_nodes``.  It is
+    trusted only after an identity check, so a stale hint costs one C-level
+    ``list.index`` scan (which refreshes it), never a wrong answer; a node
+    its parent does not list has no siblings.
+    """
+
+    __slots__ = ("parent", "_pos")
 
     ELEMENT_NODE = 1
     TEXT_NODE = 3
     COMMENT_NODE = 8
 
     node_type: int = 0
-    # global mutation epoch: bumped by every tree edit anywhere; used to
-    # invalidate text_content caches (coarse-grained version token, same
-    # idea as the reference's mutation-versioned caches,
-    # ArticleGrabber.swift:173-176)
-    mutation_epoch: int = 0
 
     def __init__(self) -> None:
         self.parent: Element | None = None
+        self._pos = 0
 
-    # -- navigation ---------------------------------------------------------
+    def _index_in(self, sibs: list["Node"]) -> int:
+        """This node's index in ``sibs`` through the hint; ValueError when
+        ``sibs`` does not list it."""
+        i = self._pos
+        if i < len(sibs) and sibs[i] is self:
+            return i
+        i = sibs.index(self)
+        self._pos = i
+        return i
+
+    # -- navigation (each step O(1) on a valid hint; the returned neighbour's
+    # hint is refreshed, so walking a sibling list never scans it) ----------
     @property
     def next_sibling(self) -> "Node | None":
         p = self.parent
@@ -179,10 +211,14 @@ class Node:
             return None
         sibs = p.child_nodes
         try:
-            i = sibs.index(self)
+            i = self._index_in(sibs) + 1
         except ValueError:
             return None
-        return sibs[i + 1] if i + 1 < len(sibs) else None
+        if i < len(sibs):
+            n = sibs[i]
+            n._pos = i
+            return n
+        return None
 
     @property
     def previous_sibling(self) -> "Node | None":
@@ -191,24 +227,48 @@ class Node:
             return None
         sibs = p.child_nodes
         try:
-            i = sibs.index(self)
+            i = self._index_in(sibs) - 1
         except ValueError:
             return None
-        return sibs[i - 1] if i > 0 else None
+        if i >= 0:
+            n = sibs[i]
+            n._pos = i
+            return n
+        return None
 
     @property
     def next_element_sibling(self) -> "Element | None":
-        n = self.next_sibling
-        while n is not None and not isinstance(n, Element):
-            n = n.next_sibling
-        return n
+        p = self.parent
+        if p is None:
+            return None
+        sibs = p.child_nodes
+        try:
+            i = self._index_in(sibs) + 1
+        except ValueError:
+            return None
+        for i in range(i, len(sibs)):
+            n = sibs[i]
+            if isinstance(n, Element):
+                n._pos = i
+                return n
+        return None
 
     @property
     def previous_element_sibling(self) -> "Element | None":
-        n = self.previous_sibling
-        while n is not None and not isinstance(n, Element):
-            n = n.previous_sibling
-        return n
+        p = self.parent
+        if p is None:
+            return None
+        sibs = p.child_nodes
+        try:
+            i = self._index_in(sibs) - 1
+        except ValueError:
+            return None
+        for i in range(i, -1, -1):
+            n = sibs[i]
+            if isinstance(n, Element):
+                n._pos = i
+                return n
+        return None
 
     def remove(self) -> None:
         if self.parent is not None:
@@ -221,6 +281,8 @@ class Node:
 
 
 class TextNode(Node):
+    # ``data`` is written directly only by the tree builder, before any cache
+    # over the tree exists; everything after parsing treats it as immutable.
     __slots__ = ("data",)
     node_type = Node.TEXT_NODE
 
@@ -253,13 +315,19 @@ class Comment(Node):
 
 
 class Element(Node):
+    # ``_ver`` is this element's cache version: every edit that changes the
+    # structure, the text or an ``href`` inside its subtree advances it (see
+    # ``_bump``).  The text_content, inner-text and link-density caches store
+    # the version they were computed at, so an edit elsewhere in the
+    # document leaves them valid.
     __slots__ = ("tag", "attrs", "child_nodes", "readability",
-                 "readability_data_table", "_tc_epoch", "_tc_val",
-                 "_it_epoch", "_it_val", "_ld_epoch", "_ld_val")
+                 "readability_data_table", "_ver", "_tc_ver", "_tc_val",
+                 "_it_ver", "_it_val", "_ld_ver", "_ld_val")
     node_type = Node.ELEMENT_NODE
 
     def __init__(self, tag: str, attrs: dict[str, str] | None = None) -> None:
         super().__init__()
+        self._ver = 0
         self.tag = tag  # lowercase
         self.attrs: dict[str, str] = attrs if attrs is not None else {}
         self.child_nodes: list[Node] = []
@@ -284,28 +352,31 @@ class Element(Node):
     def id(self, value: str) -> None:
         self.attrs["id"] = value
 
-    # -- attributes ---------------------------------------------------------
+    # -- attributes (an ``href`` change bumps: link density reads hrefs) ----
     def get_attribute(self, name: str) -> str | None:
         return self.attrs.get(name)
 
     def set_attribute(self, name: str, value: str) -> None:
-        self.attrs[name] = value
-        Node.mutation_epoch += 1  # link-density cache reads href attrs
+        if self.attrs.get(name) != value:
+            self.attrs[name] = value
+            if name == "href":
+                _bump(self)
 
     def remove_attribute(self, name: str) -> None:
-        self.attrs.pop(name, None)
-        Node.mutation_epoch += 1
+        if self.attrs.pop(name, None) is not None and name == "href":
+            _bump(self)
 
     def has_attribute(self, name: str) -> bool:
         return name in self.attrs
 
-    # -- tree edits (every path bumps the global mutation epoch) ------------
+    # -- tree edits (each bumps the versions of the parents it changes) -----
     def append_child(self, node: Node) -> Node:
         if node.parent is not None:
             node.parent.remove_child(node)
         node.parent = self
+        node._pos = len(self.child_nodes)
         self.child_nodes.append(node)
-        Node.mutation_epoch += 1
+        _bump(self)
         return node
 
     def insert_before(self, node: Node, reference: Node | None) -> Node:
@@ -313,26 +384,28 @@ class Element(Node):
             node.parent.remove_child(node)
         if reference is None:
             return self.append_child(node)
-        idx = self.child_nodes.index(reference)
+        idx = reference._index_in(self.child_nodes)
         node.parent = self
+        node._pos = idx
         self.child_nodes.insert(idx, node)
-        Node.mutation_epoch += 1
+        _bump(self)
         return node
 
     def remove_child(self, node: Node) -> Node:
-        self.child_nodes.remove(node)
+        del self.child_nodes[node._index_in(self.child_nodes)]
         node.parent = None
-        Node.mutation_epoch += 1
+        _bump(self)
         return node
 
     def replace_child(self, new: Node, old: Node) -> Node:
         if new.parent is not None:
             new.parent.remove_child(new)
-        idx = self.child_nodes.index(old)
+        idx = old._index_in(self.child_nodes)
         old.parent = None
         new.parent = self
+        new._pos = idx
         self.child_nodes[idx] = new
-        Node.mutation_epoch += 1
+        _bump(self)
         return old
 
     # -- navigation ---------------------------------------------------------
@@ -415,10 +488,10 @@ class Element(Node):
     # -- content ------------------------------------------------------------
     @property
     def text_content(self) -> str:
-        # epoch-cached: the scoring phases recompute text over the same
+        # version-cached: the scoring phases recompute text over the same
         # unmutated subtrees many times (link density, length checks)
         try:
-            if self._tc_epoch == Node.mutation_epoch:
+            if self._tc_ver == self._ver:
                 return self._tc_val
         except AttributeError:
             pass
@@ -431,7 +504,7 @@ class Element(Node):
             elif isinstance(node, Element):
                 stack.extend(reversed(node.child_nodes))
         val = "".join(parts)
-        self._tc_epoch = Node.mutation_epoch
+        self._tc_ver = self._ver
         self._tc_val = val
         return val
 
@@ -575,6 +648,15 @@ def _serialize(node: Node, out: list[str], xml: bool = False) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _attach(parent: Element, node: Node) -> None:
+    """Append a fresh node without a version bump: the shortcut of the tree
+    builder and ``clone_node``, valid because no cache over a tree under
+    construction exists."""
+    node.parent = parent
+    node._pos = len(parent.child_nodes)
+    parent.child_nodes.append(node)
+
+
 class _TreeBuilder(HTMLParser):
     """HTML5-ish tree builder on top of stdlib HTMLParser."""
 
@@ -627,7 +709,7 @@ class _TreeBuilder(HTMLParser):
 
     def _open(self, tag: str, attrs: dict[str, str]) -> Element:
         el = Element(tag, attrs)
-        self.stack[-1].append_child(el)
+        _attach(self.stack[-1], el)
         self.stack.append(el)
         if tag == "head":
             self._in_head = el
@@ -903,10 +985,10 @@ class _TreeBuilder(HTMLParser):
         if isinstance(last, TextNode):
             last.data += data
         else:
-            top.append_child(TextNode(data))
+            _attach(top, TextNode(data))
 
     def handle_comment(self, data: str) -> None:
-        self.stack[-1].append_child(Comment(data))
+        _attach(self.stack[-1], Comment(data))
 
     def handle_decl(self, decl: str) -> None:
         pass
@@ -1082,11 +1164,10 @@ def clone_node(node: Node) -> Node:
     assert isinstance(node, Element)
     root = Element(node.tag, dict(node.attrs))
     stack: list[tuple[Element, Element]] = [(node, root)]
-    # direct child-list construction (no append_child): fresh nodes can't be
-    # in another tree, and one epoch bump at the end invalidates caches
+    # _attach, not append_child: fresh nodes can't be in another tree, and a
+    # fresh tree has no caches to invalidate
     while stack:
         src, dst = stack.pop()
-        dst_children = dst.child_nodes
         for c in src.child_nodes:
             if isinstance(c, TextNode):
                 cc: Node = TextNode(c.data)
@@ -1095,9 +1176,7 @@ def clone_node(node: Node) -> Node:
             else:
                 cc = Element(c.tag, dict(c.attrs))
                 stack.append((c, cc))
-            cc.parent = dst
-            dst_children.append(cc)
-    Node.mutation_epoch += 1
+            _attach(dst, cc)
     return root
 
 

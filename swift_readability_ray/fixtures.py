@@ -307,6 +307,82 @@ def generate_corpus(seed: int = 42, n_per_category: int = 4) -> list[dict]:
     return docs
 
 
+def synthesized_long_page(n_words: int, seed: int = 42) -> str:
+    """``training_data.synthesize_page`` around ``n_words`` seeded words: one
+    article container of 40-word paragraphs, the shape whose size the DOM
+    scaling checks vary (20k words is ~135 KB of HTML, 240k ~1.6 MB)."""
+    from .pipelines.training_data import synthesize_page
+
+    rng = random.Random(f"long/{seed}/{n_words}")
+    text = " ".join(rng.choice(_WORDS) for _ in range(n_words))
+    return synthesize_page(f"long-{n_words}", text, "synth")
+
+
+def flat_page(n_paragraphs: int, seed: int = 42) -> str:
+    """``n_paragraphs`` seeded ``<p>`` directly under ``<body>``: no article
+    container, so every paragraph is a sibling of every other and body is
+    the top candidate."""
+    rng = random.Random(f"flat/{seed}/{n_paragraphs}")
+    body = "".join(f"<p>{_paragraph(rng, 1, 12)}</p>" for _ in range(n_paragraphs))
+    return _doc_shell("", body).replace("__TITLE__", f"Flat page {n_paragraphs}")
+
+
+def _clutter_block(rng: random.Random) -> str:
+    """One block of the kinds Readability cleans conditionally, with its
+    link, comma, image, list and input counts spread across the cleaning
+    thresholds."""
+    def words(lo: int, hi: int) -> str:
+        return " ".join(rng.choice(_WORDS) for _ in range(rng.randint(lo, hi)))
+
+    def link() -> str:
+        href = rng.choice(["#s", "/a", "http://fakehost/b"])
+        return f'<a href="{href}">{words(1, 6)}</a>'
+
+    kind = rng.choice(["prose", "links", "gallery", "list", "table", "form", "embed",
+                       "heading", "mixed"])
+    if kind == "prose":
+        html = f"<p>{_paragraph(rng, rng.randint(1, 6), rng.randint(5, 16))}</p>"
+    elif kind == "links":
+        html = " ".join([link() for _ in range(rng.randint(1, 8))] + [words(0, 30)])
+    elif kind == "gallery":
+        html = "".join([f'<img src="/i{rng.randint(0, 99)}.jpg">' for _ in range(rng.randint(0, 7))]
+                       + [f"<p>{words(2, 20)}</p>" for _ in range(rng.randint(0, 3))])
+    elif kind == "list":
+        html = "<ul>" + "".join(f"<li>{link() if rng.random() < 0.4 else words(1, 12)}</li>"
+                                for _ in range(rng.randint(1, 8))) + "</ul>"
+    elif kind == "table":
+        head = "<tr><th>h</th></tr>" if rng.random() < 0.3 else ""
+        rows = "".join("<tr>" + "".join(f"<td>{words(1, 5)}</td>" for _ in range(rng.randint(1, 6)))
+                       + "</tr>" for _ in range(rng.randint(1, 12)))
+        html = f"<table>{head}{rows}</table>"
+    elif kind == "form":
+        html = ("<form>" + '<input type="text">' * rng.randint(0, 4)
+                + "".join(f"<p>{words(0, 20)}</p>" for _ in range(rng.randint(0, 7))) + "</form>")
+    elif kind == "embed":
+        src = rng.choice(["https://www.youtube.com/embed/x", "http://ads.fakehost/frame"])
+        html = f'<iframe src="{src}"></iframe><p>{words(3, 18)}</p>'
+    elif kind == "heading":
+        html = f"<h2>{words(1, 8)}</h2><p>{words(4, 30)}</p>"
+    else:
+        parts = [f"<p>{_paragraph(rng, rng.randint(1, 3))}</p>", link(), words(0, 12),
+                 f'<img src="/m{rng.randint(0, 99)}.png">', f"<span>{words(1, 6)}</span>"]
+        html = "".join(rng.sample(parts, rng.randint(1, len(parts))))
+    cls = rng.choice(["", "content", "related", "widget", "entry", "comment"])
+    return f'<div class="{cls}">{html}</div>'
+
+
+def clutter_page(seed: int) -> str:
+    """A seeded article: three strong paragraphs interleaved with 4-10
+    clutter blocks (``_clutter_block``), so conditional cleaning decides
+    near its thresholds."""
+    rng = random.Random(f"clutter/{seed}")
+    blocks = [f"<p>{_paragraph(rng, 4)}</p>" for _ in range(3)]
+    for _ in range(rng.randint(4, 10)):
+        blocks.insert(rng.randint(0, len(blocks)), _clutter_block(rng))
+    body = _JUNK + '<div class="article-content">' + "".join(blocks) + "</div>"
+    return _doc_shell("", body).replace("__TITLE__", f"Clutter page {seed}")
+
+
 def corpus_to_tables(docs: list[dict]):
     """Split fixtures into (input_table, expected_table) pyarrow Tables."""
     import pyarrow as pa

@@ -17,20 +17,18 @@ from ..dom import Element
 def get_inner_text(el: Element, normalize_spaces: bool = True) -> str:
     """textContent trimmed; optionally collapse 2+ whitespace to one space.
 
-    The normalized form is epoch-cached on the element (same mutation token
-    as text_content) — link-density scoring recomputes it over unmutated
+    The normalized form is cached on the element, keyed on its cache version
+    like text_content — link-density scoring recomputes it over unmutated
     subtrees constantly.
     """
-    from ..dom import Node
-
     if normalize_spaces:
         try:
-            if el._it_epoch == Node.mutation_epoch:
+            if el._it_ver == el._ver:
                 return el._it_val
         except AttributeError:
             pass
         val = R.NORMALIZE.sub(" ", el.text_content.strip())
-        el._it_epoch = Node.mutation_epoch
+        el._it_ver = el._ver
         el._it_val = val
         return val
     return el.text_content.strip()
@@ -215,12 +213,11 @@ def resolve_url(uri: str, base: str) -> str:
 def get_link_density(element: Element) -> float:
     """Σ(linkText·coeff)/textLen; coeff 0.3 for in-page `#…` hrefs.
 
-    Epoch-cached per element (the reference versions this cache the same
-    way, ArticleGrabber.swift:173-176 / Helpers.swift:22-25)."""
-    from ..dom import Node
-
+    Cached per element, keyed on its cache version (the reference versions
+    this cache the same way, ArticleGrabber.swift:173-176 /
+    Helpers.swift:22-25)."""
     try:
-        if element._ld_epoch == Node.mutation_epoch:
+        if element._ld_ver == element._ver:
             return element._ld_val
     except AttributeError:
         pass
@@ -234,6 +231,6 @@ def get_link_density(element: Element) -> float:
             coefficient = 0.3 if (href and R.HASH_URL.match(href)) else 1.0
             link_length += len(get_inner_text(link)) * coefficient
         val = link_length / text_length
-    element._ld_epoch = Node.mutation_epoch
+    element._ld_ver = element._ver
     element._ld_val = val
     return val

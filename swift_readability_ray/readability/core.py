@@ -209,17 +209,23 @@ class Extractor:
             isinstance(node, Element) and node.tag == "br"
         )
 
-    @classmethod
-    def _is_phrasing_content(cls, node: Node) -> bool:
-        if isinstance(node, TextNode):
-            return True
-        if not isinstance(node, Element):
-            return False
-        if node.tag in R.PHRASING_ELEMS:
-            return True
-        return node.tag in ("a", "del", "ins") and all(
-            cls._is_phrasing_content(c) for c in node.child_nodes
-        )
+    @staticmethod
+    def _is_phrasing_content(node: Node) -> bool:
+        # a/del/ins are phrasing when all their children are (iterative, so
+        # deep nesting cannot overflow the stack)
+        stack = [node]
+        while stack:
+            n = stack.pop()
+            if isinstance(n, TextNode):
+                continue
+            if not isinstance(n, Element):
+                return False
+            if n.tag in R.PHRASING_ELEMS:
+                continue
+            if n.tag not in ("a", "del", "ins"):
+                return False
+            stack.extend(n.child_nodes)
+        return True
 
     @staticmethod
     def _is_element_without_content(node: Element) -> bool:
@@ -248,12 +254,15 @@ class Extractor:
             for n in element.child_nodes
         )
 
-    @classmethod
-    def _has_child_block_element(cls, element: Element) -> bool:
-        for node in element.child_nodes:
+    @staticmethod
+    def _has_child_block_element(element: Element) -> bool:
+        stack = list(element.child_nodes)
+        while stack:
+            node = stack.pop()
             if isinstance(node, Element):
-                if node.tag in R.DIV_TO_P_ELEMS or cls._has_child_block_element(node):
+                if node.tag in R.DIV_TO_P_ELEMS:
                     return True
+                stack.extend(node.child_nodes)
         return False
 
     @staticmethod
@@ -738,11 +747,8 @@ class Extractor:
             sibling_score_threshold = max(10.0, (top_candidate.readability or 0.0) * 0.2)
             parent_of_top_candidate = top_candidate.parent
             assert parent_of_top_candidate is not None
-            siblings = parent_of_top_candidate.children
-
-            s = 0
-            while s < len(siblings):
-                sibling = siblings[s]
+            # one snapshot: appending a sibling only removes it from the parent
+            for sibling in parent_of_top_candidate.children:
                 append = False
 
                 if sibling is top_candidate:
@@ -777,10 +783,6 @@ class Extractor:
                     if sibling.tag not in R.ALTER_TO_DIV_EXCEPTIONS:
                         sibling = self._set_node_tag(sibling, "div")
                     article_content.append_child(sibling)
-                    siblings = parent_of_top_candidate.children
-                    # do not advance: the list shrank
-                else:
-                    s += 1
 
             self._tick("grab.topCandidate", _t_top)
             _t_pa = _now()
@@ -838,17 +840,29 @@ class Extractor:
 
     # ====================================================== Phase G: prep
     def _prep_article(self, article_content: Element, doc: Document) -> None:
+        # One tag census up front: the per-tag walks below are skipped for
+        # tags the article lacks.  Exact, because up to the last of them this
+        # method creates only img elements (lazy images); the h2, p and div
+        # it makes come later.
+        present = {el.tag for el in article_content.get_elements_by_tag_name("*")}
+
+        def clean(*tags: str) -> None:
+            for tag in tags:
+                if tag in present:
+                    self._clean(article_content, tag)
+
+        def clean_conditionally(*tags: str) -> None:
+            for tag in tags:
+                if tag in present:
+                    self._clean_conditionally(article_content, tag)
+
         self._clean_styles(article_content)
-        self._mark_data_tables(article_content)
+        if "table" in present:
+            self._mark_data_tables(article_content)
         self._fix_lazy_images(article_content, doc)
 
-        self._clean_conditionally(article_content, "form")
-        self._clean_conditionally(article_content, "fieldset")
-        self._clean(article_content, "object")
-        self._clean(article_content, "embed")
-        self._clean(article_content, "footer")
-        self._clean(article_content, "link")
-        self._clean(article_content, "aside")
+        clean_conditionally("form", "fieldset")
+        clean("object", "embed", "footer", "link", "aside")
 
         share_element_threshold = 500  # DEFAULT_CHAR_THRESHOLD
         for top_candidate in article_content.children:
@@ -858,25 +872,19 @@ class Extractor:
                 and len(n.text_content) < share_element_threshold,
             )
 
-        self._clean(article_content, "iframe")
-        self._clean(article_content, "input")
-        self._clean(article_content, "textarea")
-        self._clean(article_content, "select")
-        self._clean(article_content, "button")
+        clean("iframe", "input", "textarea", "select", "button")
         self._clean_headers(article_content)
 
-        self._clean_conditionally(article_content, "table")
-        self._clean_conditionally(article_content, "ul")
-        self._clean_conditionally(article_content, "div")
+        clean_conditionally("table", "ul", "div")
 
         for h1 in list(article_content.get_elements_by_tag_name("h1")):
             self._set_node_tag(h1, "h2")
 
         for paragraph in list(article_content.get_elements_by_tag_name("p")):
-            content_element_count = len(
-                paragraph.get_all_nodes_with_tag(["img", "embed", "object", "iframe"])
-            )
-            if content_element_count == 0 and not get_inner_text(paragraph, False):
+            # the cached text test first: most paragraphs have text
+            if not get_inner_text(paragraph, False) and not paragraph.get_all_nodes_with_tag(
+                ["img", "embed", "object", "iframe"]
+            ):
                 paragraph.remove()
 
         for br in list(article_content.get_elements_by_tag_name("br")):
@@ -904,18 +912,19 @@ class Extractor:
                     if table.parent is not None:
                         table.parent.replace_child(cell, table)
 
-    def _clean_styles(self, e: Element) -> None:
-        if e.tag == "svg":
-            return
-        for attr in R.PRESENTATIONAL_ATTRIBUTES:
-            e.remove_attribute(attr)
-        if e.tag in R.DEPRECATED_SIZE_ATTRIBUTE_ELEMS:
-            e.remove_attribute("width")
-            e.remove_attribute("height")
-        cur = e.first_element_child
-        while cur is not None:
-            self._clean_styles(cur)
-            cur = cur.next_element_sibling
+    @staticmethod
+    def _clean_styles(root: Element) -> None:
+        # removes only the attributes an element has; svg subtrees are kept
+        stack = [root]
+        while stack:
+            e = stack.pop()
+            if e.tag == "svg":
+                continue
+            sized = e.tag in R.DEPRECATED_SIZE_ATTRIBUTE_ELEMS
+            for attr in [a for a in e.attrs if a in R.PRESENTATIONAL_ATTRIBUTES
+                         or (sized and a in ("width", "height"))]:
+                e.remove_attribute(attr)
+            stack.extend(e.children)
 
     @staticmethod
     def _get_row_and_column_count(table: Element) -> tuple[int, int]:
@@ -1244,19 +1253,19 @@ class Extractor:
                     continue
             node = self._get_next_node(node)
 
-    def _clean_classes(self, node: Element) -> None:
+    def _clean_classes(self, root: Element) -> None:
         preserve = set(R.CLASSES_TO_PRESERVE) | set(self.opts.classes_to_preserve)
-        class_name = " ".join(
-            cls for cls in (node.class_name or "").split() if cls in preserve
-        )
-        if class_name:
-            node.class_name = class_name
-        else:
-            node.remove_attribute("class")
-        child = node.first_element_child
-        while child is not None:
-            self._clean_classes(child)
-            child = child.next_element_sibling
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            class_name = " ".join(
+                cls for cls in (node.class_name or "").split() if cls in preserve
+            )
+            if class_name:
+                node.class_name = class_name
+            else:
+                node.remove_attribute("class")
+            stack.extend(node.children)
 
     # ================================================================= parse
     def parse(self, html: str, url: str = "about:blank",

@@ -74,30 +74,31 @@ def emit_spans(article: Element) -> list[dict]:
                 )
             buf.clear()
 
-    def walk(node) -> None:
+    # iterative walk, so deep nesting cannot overflow the stack; a None
+    # entry closes the text run of the block element it was pushed for
+    stack: list = list(reversed(article.child_nodes))
+    while stack:
+        node = stack.pop()
+        if node is None:
+            flush()
+            continue
         if isinstance(node, TextNode):
             buf.append(node.data)
-            return
+            continue
         if not isinstance(node, Element):
-            return
+            continue
         if node.tag in MEDIA_TAGS:
             flush()
             ref = _media_ref(node)
             spans.append(
                 {"kind": "media", "text": "", "media_ref": ref, "offset": len(spans)}
             )
-            return
+            continue
         # Block-level boundary → close the current text run so spans are
         # paragraph-granular (phrasing content stays inside one run).
-        is_block = node.tag not in PHRASING_CONTAINER_TAGS
-        if is_block:
+        if node.tag not in PHRASING_CONTAINER_TAGS:
             flush()
-        for child in node.child_nodes:
-            walk(child)
-        if is_block:
-            flush()
-
-    for child in article.child_nodes:
-        walk(child)
+            stack.append(None)
+        stack.extend(reversed(node.child_nodes))
     flush()
     return spans

@@ -1,4 +1,9 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from swift_readability_ray import regexps as R
 from swift_readability_ray.dom import Element, TextNode, parse, parse_fragment
+from swift_readability_ray.functions.kernels import get_inner_text, get_link_density
 
 
 def test_basic_structure():
@@ -313,3 +318,133 @@ def test_adoption_agency_outer_loop_rewraps_nested_blocks():
         '<a href="x">1</a><div><a href="x">2</a>'
         '<div><a href="x">3</a>4</div></div>'
     )
+
+
+# ---------------------------------------------------------------------------
+# Cache and navigation coherence under random edit sequences
+# ---------------------------------------------------------------------------
+
+_EDITS = ("append", "insert_before", "remove", "replace", "set_href",
+          "remove_href", "remove_absent", "set_same")
+
+
+def _universe():
+    """Two small trees plus a detached subtree, each element with one text."""
+    roots = [Element("div"), Element("section"), Element("div")]
+    elements = list(roots)
+    texts = []
+    words = ("alpha ", "  beta", "gamma  delta", "", "e\n f", "zeta", "eta", "th eta", " iota")
+    for i, word in enumerate(words):
+        el = Element(("a", "p", "span")[i % 3])
+        if el.tag == "a":
+            el.set_attribute("href", "#top")
+        parent = roots[i % 3] if i < 6 else elements[i - 3]
+        parent.append_child(el)
+        elements.append(el)
+        texts.append(el.append_child(TextNode(word)))
+    return elements, texts
+
+
+def _is_ancestor_or_self(node, el):
+    while el is not None:
+        if el is node:
+            return True
+        el = el.parent
+    return False
+
+
+def _oracle_text(el):
+    parts, stack = [], list(reversed(el.child_nodes))
+    while stack:
+        n = stack.pop()
+        if isinstance(n, TextNode):
+            parts.append(n.data)
+        elif isinstance(n, Element):
+            stack.extend(reversed(n.child_nodes))
+    return "".join(parts)
+
+
+def _oracle_inner(el):
+    return R.NORMALIZE.sub(" ", _oracle_text(el).strip())
+
+
+def _oracle_link_density(el):
+    total = len(_oracle_inner(el))
+    if total == 0:
+        return 0.0
+    links = 0.0
+    for a in el.get_elements_by_tag_name("a"):
+        href = a.attrs.get("href")
+        links += len(_oracle_inner(a)) * (0.3 if href and R.HASH_URL.match(href) else 1.0)
+    return links / total
+
+
+def _check(nodes, elements):
+    for n in nodes:
+        sibs = [] if n.parent is None else n.parent.child_nodes
+        idx = next((i for i, s in enumerate(sibs) if s is n), None)
+        if idx is None:
+            want = (None, None, None, None)
+        else:
+            after, before = sibs[idx + 1:], sibs[:idx][::-1]
+            want = (
+                after[0] if after else None,
+                before[0] if before else None,
+                next((s for s in after if isinstance(s, Element)), None),
+                next((s for s in before if isinstance(s, Element)), None),
+            )
+        got = (n.next_sibling, n.previous_sibling,
+               n.next_element_sibling, n.previous_element_sibling)
+        assert all(g is w for g, w in zip(got, want)), (n, got, want)
+    for el in elements:
+        assert el.text_content == _oracle_text(el)
+        assert get_inner_text(el) == _oracle_inner(el)
+        assert get_link_density(el) == _oracle_link_density(el)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_edits_keep_siblings_and_caches_coherent(data):
+    elements, texts = _universe()
+    nodes = elements + texts
+    _check(nodes, elements)  # fills every cache before the first edit
+    for _ in range(data.draw(st.integers(1, 25))):
+        op = data.draw(st.sampled_from(_EDITS))
+        el = data.draw(st.sampled_from(elements))
+        node = data.draw(st.sampled_from(nodes))
+        if op in ("append", "insert_before", "replace"):
+            if _is_ancestor_or_self(node, el):
+                continue  # would make a cycle
+            if op == "append":
+                el.append_child(node)
+            elif op == "insert_before":
+                ref = data.draw(st.sampled_from(el.child_nodes + [None]))
+                if ref is not node:
+                    el.insert_before(node, ref)
+            elif el.child_nodes:
+                old = data.draw(st.sampled_from(el.child_nodes))
+                if old is not node:
+                    el.replace_child(node, old)
+        elif op == "remove":
+            node.remove()
+        elif op == "set_href":
+            el.set_attribute("href", data.draw(st.sampled_from(["#top", "/page", ""])))
+        elif op == "remove_href":
+            el.remove_attribute("href")
+        elif op == "remove_absent":
+            el.remove_attribute("data-absent")
+        elif "href" in el.attrs:  # set_same: rewrite the current value
+            el.set_attribute("href", el.attrs["href"])
+        _check(nodes, elements)
+
+
+def test_unlisted_node_has_no_siblings():
+    parent = Element("div")
+    a, b = Element("p"), Element("p")
+    parent.append_child(a)
+    parent.append_child(b)
+    stray = Element("span")
+    stray.parent = parent  # claims a parent that does not list it
+    assert stray.next_sibling is None and stray.previous_sibling is None
+    assert stray.next_element_sibling is None and stray.previous_element_sibling is None
+    assert a.next_sibling is b and b.previous_sibling is a

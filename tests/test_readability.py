@@ -511,3 +511,19 @@ def test_xml_boolean_attr_forms_round_trip():
         # literal source form survives literally; bare source form stays bare
         assert 'controls="controls"' in r["content"]
         assert 'loop="loop"' not in r["content"]
+
+
+@pytest.mark.parametrize("tag", ["div", "span", "del"])
+def test_deeply_nested_document_extracts(tag):
+    """A chain far deeper than the recursion limit extracts: every walk over
+    the tree (style and class cleanup, the phrasing and block predicates,
+    span emission) is iterative."""
+    from swift_readability_ray.stages.extract import ReadabilityExtractor
+
+    depth = 3000
+    html = (f"<html><body><p>{LONG * 2}</p>" + f"<{tag}>" * depth
+            + "deep text marker" + f"</{tag}>" * depth + "</body></html>")
+    row = ReadabilityExtractor().extract_one(
+        "deep", [{"kind": "text", "text": html, "media_ref": "", "offset": 0}])
+    assert row["error"] is None
+    assert any("deep text marker" in s["text"] for s in row["spans"])
