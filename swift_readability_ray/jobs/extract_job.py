@@ -23,8 +23,9 @@ synthetic fixture corpus::
         --input /tmp/spans_docs.parquet --output /tmp/extract_out \
         --num-partitions 4
 
-The job is resumable: re-submitting with the same ``--output`` skips
-completed partitions via their lineage records.
+The job is resumable: re-submitting with the same ``--output`` and
+``--num-partitions`` skips completed partitions via their lineage records
+(another ``--num-partitions`` on that output is refused).
 """
 
 from __future__ import annotations

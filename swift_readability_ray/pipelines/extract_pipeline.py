@@ -15,22 +15,36 @@ Design points for 100 TB scale:
   (> ``skew_threshold_bytes``) are extracted one per batch so one 50 MB
   document cannot stall a 4 MB-average batch.
 - resumable: ``run_resumable_extraction`` stages the input once into
-  hash-partitioned shuffle files, then extracts each partition from its own
-  staged files (pruned reads, linear total I/O) with per-partition lineage
-  commits (state/lineage.py); restarts skip completed partitions and a
-  completed job writes the METRICS-schema report beside the data.
+  hash-partitioned shuffle files, then extracts every pending partition's
+  staged files in ONE streaming Ray execution (a work item per staged file,
+  linear total I/O, no per-partition execution cost) into a per-run scratch
+  directory, and commits each partition when its last file lands: rename to
+  ``part=<k>``, then an atomic lineage record (state/lineage.py) whose
+  metrics come from the workers' per-file manifests.  Restarts skip
+  completed partitions and a completed job writes the METRICS-schema
+  report beside the data.
 """
 
 from __future__ import annotations
 
+import glob
+import json
+import os
+import shutil
+import uuid
+from contextlib import closing
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray.data
 
 from ..functions.hashing import mix64 as _mix64
 from ..readability.core import ExtractOptions
+from ..schema import OUT
 from ..sources.io import read_documents
+from ..stages import extract as _extract
 from ..stages.extract import extract_spans_batch
 from ..state.lineage import LineageLog
 
@@ -181,36 +195,29 @@ def run_extraction(
     return {"output_path": output_path, "stats": stats}
 
 
-def _partition_metrics(path: str) -> dict:
-    """Per-partition extraction metrics (north rule: docs processed,
-    candidates scored, bytes parsed) from the written partition's own
-    columns — exact, derived from data, no side channel to lose on retry."""
-    import os
+# a work item's manifest: its partition and these sums over the rows it wrote
+_MANIFEST_KEYS = ("docs_processed", "docs_failed", "candidates_scored", "bytes_parsed", "wall_us")
 
-    import pyarrow.parquet as pq
 
-    docs = failed = candidates = input_bytes = wall_us = 0
-    for root, _dirs, files in os.walk(path):
-        for name in files:
-            if name.endswith(".parquet"):
-                t = pq.read_table(
-                    os.path.join(root, name),
-                    columns=["error", "n_candidates", "input_bytes", "wall_us"],
-                )
-                docs += t.num_rows
-                failed += t.num_rows - pc.sum(
-                    pc.cast(pc.is_null(t.column("error")), "int64")
-                ).as_py()
-                candidates += pc.sum(t.column("n_candidates")).as_py() or 0
-                input_bytes += pc.sum(t.column("input_bytes")).as_py() or 0
-                wall_us += pc.sum(t.column("wall_us")).as_py() or 0
-    return {
-        "docs_processed": docs,
-        "docs_failed": failed,
-        "candidates_scored": candidates,
-        "bytes_parsed": input_bytes,
-        "wall_seconds": wall_us / 1e6,
-    }
+def _extract_staged_file(item: dict, options, base_url: str, batch_size: int) -> dict:
+    """``map_batches`` UDF over one work item (one staged file): streams the
+    file in ``batch_size``-row batches through the extractor into the item's
+    scratch file and returns a one-row manifest counted from the rows
+    written — metrics come from the data, with no re-read of the output."""
+    totals = dict.fromkeys(_MANIFEST_KEYS, 0)
+    with pq.ParquetWriter(item["dst"][0], OUT) as writer:
+        staged = pq.ParquetFile(item["src"][0])
+        for rb in staged.iter_batches(batch_size, columns=["doc_id", "spans"]):
+            # looked up per call, so wrappers installed after import apply
+            out = _extract.extract_spans_batch(pa.Table.from_batches([rb]),
+                                               options=options, base_url=base_url)
+            writer.write_table(out)
+            totals["docs_processed"] += out.num_rows
+            totals["docs_failed"] += out.num_rows - out.column("error").null_count
+            for key, col in (("candidates_scored", "n_candidates"),
+                             ("bytes_parsed", "input_bytes"), ("wall_us", "wall_us")):
+                totals[key] += pc.sum(out.column(col)).as_py() or 0
+    return {"part": item["part"], **{key: [n] for key, n in totals.items()}}
 
 
 def run_resumable_extraction(
@@ -224,40 +231,52 @@ def run_resumable_extraction(
 ) -> dict:
     """Partitioned, resumable run with per-partition lineage commits.
 
-    Two phases, each linear in the input size:
+    Two phases, each linear in the input size and each one Ray execution:
 
     1. **Stage** (one full pass): read → append doc_id-hash ``part`` column →
        write ``out/staging/part=<k>/``.  This is the job's one explicit
        exchange — the same materialized-shuffle-files pattern every
        shuffle-service uses — and is itself resumable as a unit (an
-       incomplete staging is discarded and redone).
-    2. **Extract per partition** (pruned reads): each pending partition reads
-       ONLY its staged files, extracts, writes ``out/part=<k>/`` and commits
-       an atomic lineage record with its metrics.  A re-run skips completed
-       partitions and cleans half-written orphans.
+       incomplete staging is discarded and redone).  The staging marker
+       records ``num_partitions``.
+    2. **Extract: one execution, per-partition commit by rename.**  Every
+       staged file of every pending partition is one work item of a single
+       streaming execution; each item is extracted into this run's scratch
+       directory ``out/_attempts/<run-id>/part=<k>/`` and reports a manifest
+       row.  When a partition's last file lands, the caller renames its
+       scratch directory to ``out/part=<k>/`` and then writes an atomic
+       lineage record with the manifests' metrics; a partition with no rows
+       is committed at once.  Writes of an aborted run stay in its own
+       scratch directory, which the next run deletes; a re-run skips
+       completed partitions and cleans half-committed orphans.
 
     Filtering the full input once per partition instead would scan the
-    dataset ``num_partitions`` times — quadratic I/O at 100 TB.
-    ``fail_after_partitions`` injects a mid-run abort for tests.
+    dataset ``num_partitions`` times — quadratic I/O at 100 TB — and one
+    execution per partition would pay Ray's per-execution cost each time.
+    An output directory keeps the ``num_partitions`` it was started with;
+    another value raises ``ValueError`` (its buckets would differ).
+    ``fail_after_partitions`` injects an abort after that many commits, for
+    tests.
     """
-    import os
-    import shutil
-
     log = LineageLog(output_path)
     done = log.completed_partitions()
 
     staging = os.path.join(output_path, "staging")
     staging_marker = os.path.join(staging, "_COMPLETE")
-    if done and not os.path.exists(staging_marker):
-        # all-partition completion without staging means a finished prior run
-        # already cleaned up; nothing to stage for the remaining (none) work
-        pending = [p for p in range(num_partitions) if p not in done]
-        if pending:
+    recorded = {r["num_partitions"] for r in log.records()}
+    if os.path.exists(staging_marker):
+        with open(staging_marker) as f:
+            recorded.add(json.load(f)["num_partitions"])
+    if recorded - {num_partitions}:
+        raise ValueError(f"{output_path!r} was started with num_partitions={sorted(recorded)}, "
+                         f"not {num_partitions}; re-run with that or use a new output dir")
+    pending = [p for p in range(num_partitions) if p not in done]
+    if pending and not os.path.exists(staging_marker):
+        if done:
             raise RuntimeError(
                 "staging missing but partitions pending — delete the output "
                 "dir to restart, or restore the staging directory"
             )
-    if not os.path.exists(staging_marker) and len(done) < num_partitions:
         shutil.rmtree(staging, ignore_errors=True)  # discard half-written staging
         ds = read_documents(input_path, columns=["doc_id", "spans"])
         ds = ds.map_batches(
@@ -268,49 +287,53 @@ def run_resumable_extraction(
         )
         ds.write_parquet(staging, partition_cols=["part"])
         with open(staging_marker, "w") as f:
-            f.write("complete")
+            json.dump({"num_partitions": num_partitions}, f)
 
-    kwargs = dict(
-        fn_kwargs={"options": options, "base_url": base_url},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-    )
+    attempts = os.path.join(output_path, "_attempts")
+    shutil.rmtree(attempts, ignore_errors=True)  # scratch of earlier runs
+    scratch = os.path.join(attempts, uuid.uuid4().hex)
+    items, left, totals, committed = [], {}, {}, []
 
-    processed = 0
-    completed_now = []
-    for part in range(num_partitions):
-        if part in done:
-            continue
-        log.clean_orphan(part)
-        part_staging = os.path.join(staging, f"part={part}")
-        part_dir = log.partition_dir(part)
-        if os.path.isdir(part_staging):
-            part_ds = ray.data.read_parquet(part_staging)  # pruned: this partition only
-            out = part_ds.map_batches(extract_spans_batch, **kwargs)
-            out.write_parquet(part_dir)
-        else:  # hash bucket got no rows
-            os.makedirs(part_dir, exist_ok=True)
-        metrics = _partition_metrics(part_dir)
-        row_count = metrics["docs_processed"]
-        log.record(part, row_count, extra=metrics)
-        completed_now.append(part)
-        processed += row_count
-        if fail_after_partitions is not None and len(completed_now) >= fail_after_partitions:
+    def commit(part: int) -> None:
+        os.rename(os.path.join(scratch, f"part={part}"), log.partition_dir(part))
+        metrics = dict(totals[part], num_partitions=num_partitions)
+        metrics["wall_seconds"] = metrics.pop("wall_us") / 1e6
+        log.record(part, metrics["docs_processed"], extra=metrics)
+        committed.append(metrics["docs_processed"])
+        if fail_after_partitions is not None and len(committed) >= fail_after_partitions:
             raise RuntimeError(f"injected failure after {fail_after_partitions} partitions")
 
-    if len(log.completed_partitions()) >= num_partitions:
-        shutil.rmtree(staging, ignore_errors=True)  # all committed; drop shuffle files
-        # job report: METRICS-schema table beside the data (SURVEY.md §2.1
-        # sink contract — metrics/lineage as a second table)
-        import pyarrow.parquet as _pq
+    for part in pending:
+        log.clean_orphan(part)
+        os.makedirs(os.path.join(scratch, f"part={part}"))
+        files = sorted(glob.glob(os.path.join(staging, f"part={part}", "*.parquet")))
+        left[part], totals[part] = len(files), dict.fromkeys(_MANIFEST_KEYS, 0)
+        items += [{"part": part, "src": f, "dst": f.replace(staging, scratch, 1)} for f in files]
+        if not files:  # hash bucket got no rows
+            commit(part)
+    if items:
+        ds = ray.data.from_items(items, override_num_blocks=len(items)).map_batches(
+            _extract_staged_file, batch_size=1,
+            fn_kwargs={"options": options, "base_url": base_url, "batch_size": batch_size})
+        # no prefetch: a partition commits as soon as its last manifest is out
+        batches = ds.iter_batches(batch_size=None, batch_format="pyarrow", prefetch_batches=0)
+        with closing(iter(batches)) as manifests:  # an abort stops the other tasks
+            for m in (row for batch in manifests for row in batch.to_pylist()):
+                part = m["part"]
+                totals[part] = {k: n + m[k] for k, n in totals[part].items()}
+                left[part] -= 1
+                if not left[part]:
+                    commit(part)
 
-        _pq.write_table(
-            log.metrics_table(), os.path.join(output_path, "metrics.parquet")
-        )
+    if len(log.completed_partitions()) >= num_partitions:
+        # all committed: drop shuffle files and scratch; write the job report,
+        # a METRICS-schema table beside the data (SURVEY.md §2.1 sink contract)
+        shutil.rmtree(staging, ignore_errors=True)
+        shutil.rmtree(attempts, ignore_errors=True)
+        pq.write_table(log.metrics_table(), os.path.join(output_path, "metrics.parquet"))
 
     return {
         "output_path": output_path,
         "partitions_completed": sorted(log.completed_partitions()),
-        "rows_processed_this_run": processed,
+        "rows_processed_this_run": sum(committed),
     }

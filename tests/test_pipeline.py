@@ -242,6 +242,182 @@ def test_staging_missing_with_pending_partitions_raises(ray_session, fixture_cor
         )
 
 
+def _run(inp, out, num_partitions, **kw):
+    from swift_readability_ray.pipelines import run_resumable_extraction
+
+    return run_resumable_extraction(
+        inp, out, num_partitions=num_partitions, base_url=BASE_URL, **kw
+    )
+
+
+def _crash(inp, out, num_partitions, after):
+    with pytest.raises(RuntimeError, match="injected failure"):
+        _run(inp, out, num_partitions, fail_after_partitions=after)
+
+
+def _split_input(src_file, dst_dir, n_files):
+    """The documents as ``n_files`` parquet files, so that every staging
+    task writes its own file into each hash bucket it sees."""
+    tbl = pq.read_table(src_file)
+    os.makedirs(dst_dir)
+    step = -(-tbl.num_rows // n_files)
+    for i in range(n_files):
+        pq.write_table(tbl.slice(i * step, step), os.path.join(dst_dir, f"docs-{i}.parquet"))
+    return dst_dir, tbl
+
+
+def _reread_metrics(path):
+    """The lineage metrics recomputed from a committed partition's files."""
+    docs = failed = candidates = input_bytes = wall_us = 0
+    for name in glob.glob(os.path.join(path, "*.parquet")):
+        t = pq.read_table(name, columns=["error", "n_candidates", "input_bytes", "wall_us"])
+        docs += t.num_rows
+        failed += t.num_rows - t.column("error").null_count
+        candidates += pc.sum(t.column("n_candidates")).as_py() or 0
+        input_bytes += pc.sum(t.column("input_bytes")).as_py() or 0
+        wall_us += pc.sum(t.column("wall_us")).as_py() or 0
+    return {
+        "docs_processed": docs,
+        "docs_failed": failed,
+        "candidates_scored": candidates,
+        "bytes_parsed": input_bytes,
+        "wall_seconds": wall_us / 1e6,
+    }
+
+
+def _committed_ids(out):
+    """The doc ids readable from the committed ``part=<k>`` directories."""
+    files = glob.glob(os.path.join(out, "part=*", "*.parquet"))
+    if not files:
+        return []
+    return sorted(pq.read_table(files, columns=["doc_id"]).column("doc_id").to_pylist())
+
+
+@pytest.mark.parametrize("num_partitions", [2, 40])
+def test_manifest_metrics_equal_reread_of_committed_files(
+    ray_session, fixture_corpus_dir, tmp_path, num_partitions
+):
+    """Lineage metrics come from the workers' manifests; they must equal a
+    re-read of what each ``part=<k>`` holds, including partitions built from
+    several staged files (2 buckets over 3 input files) and zero-row
+    buckets (more buckets than documents)."""
+    from swift_readability_ray.state import LineageLog
+
+    inp, tbl = _split_input(
+        os.path.join(fixture_corpus_dir, "documents.parquet"), str(tmp_path / "in"), 3
+    )
+    out = str(tmp_path / "out")
+    res = _run(inp, out, num_partitions)
+    assert res["rows_processed_this_run"] == tbl.num_rows
+    recs = LineageLog(out).records()
+    assert [r["partition_id"] for r in recs] == list(range(num_partitions))
+    files_per_part = []
+    for r in recs:
+        part_dir = os.path.join(out, f"part={r['partition_id']}")
+        files_per_part.append(len(glob.glob(os.path.join(part_dir, "*.parquet"))))
+        want = _reread_metrics(part_dir)
+        assert {k: r[k] for k in want} == want, r
+        assert r["row_count"] == want["docs_processed"]
+        assert r["num_partitions"] == num_partitions
+    if num_partitions == 2:  # every bucket got rows from several staging tasks
+        assert min(files_per_part) > 1
+    else:
+        empty = [r for r in recs if r["row_count"] == 0]
+        assert len(empty) >= num_partitions - tbl.num_rows
+        assert all(r["wall_seconds"] == 0 and r["bytes_parsed"] == 0 for r in empty)
+    assert _committed_ids(out) == sorted(tbl.column("doc_id").to_pylist())
+    metrics = pq.read_table(os.path.join(out, "metrics.parquet"))
+    assert metrics.column("docs_processed").to_pylist() == [r["row_count"] for r in recs]
+
+
+def test_crash_leaves_only_committed_rows_readable(ray_session, fixture_corpus_dir, tmp_path):
+    """After an abort every ``part=<k>`` is committed and holds exactly its
+    recorded rows; uncommitted work stays under the aborted run's
+    ``_attempts/<run-id>/``, which the next run deletes.  A completed job
+    leaves neither ``staging/`` nor ``_attempts/``."""
+    from swift_readability_ray.state import LineageLog
+
+    inp, tbl = _split_input(
+        os.path.join(fixture_corpus_dir, "documents.parquet"), str(tmp_path / "in"), 3
+    )
+    out = str(tmp_path / "out")
+    attempts = os.path.join(out, "_attempts")
+    log = LineageLog(out)
+
+    _crash(inp, out, 6, after=2)
+    done = log.completed_partitions()
+    assert len(done) == 2
+    part_dirs = {int(d.rsplit("=", 1)[1]) for d in glob.glob(os.path.join(out, "part=*"))}
+    assert part_dirs == done
+    assert len(_committed_ids(out)) == sum(r["row_count"] for r in log.records())
+    first_attempts = set(os.listdir(attempts))
+    assert len(first_attempts) == 1
+
+    _crash(inp, out, 6, after=1)
+    assert len(log.completed_partitions()) == 3
+    second_attempts = set(os.listdir(attempts))
+    assert len(second_attempts) == 1 and not (second_attempts & first_attempts)
+
+    res = _run(inp, out, 6)
+    assert res["partitions_completed"] == list(range(6))
+    assert _committed_ids(out) == sorted(tbl.column("doc_id").to_pylist())
+    assert not os.path.exists(os.path.join(out, "staging"))
+    assert not os.path.exists(attempts)
+
+
+def test_changed_num_partitions_raises(ray_session, fixture_corpus_dir, tmp_path):
+    """A directory started with one ``num_partitions`` refuses another: its
+    committed partitions are other buckets, so skipping them would lose the
+    documents of the buckets it never ran."""
+    import shutil
+
+    from swift_readability_ray.state import LineageLog
+
+    inp = os.path.join(fixture_corpus_dir, "documents.parquet")
+    out = str(tmp_path / "out")
+    _crash(inp, out, 8, after=4)
+    with pytest.raises(ValueError, match="num_partitions"):
+        _run(inp, out, 4)
+    assert len(LineageLog(out).completed_partitions()) == 4  # left as it was
+    _run(inp, out, 8)
+    want = sorted(pq.read_table(inp).column("doc_id").to_pylist())
+    assert _committed_ids(out) == want
+    with pytest.raises(ValueError, match="num_partitions"):  # a finished job
+        _run(inp, out, 4)
+
+    # staging finished, nothing committed yet: the staging marker decides
+    out2 = str(tmp_path / "out2")
+    _crash(inp, out2, 8, after=1)
+    shutil.rmtree(os.path.join(out2, "lineage"))
+    for d in glob.glob(os.path.join(out2, "part=*")):
+        shutil.rmtree(d)
+    with pytest.raises(ValueError, match="num_partitions"):
+        _run(inp, out2, 4)
+
+
+def test_one_ray_execution_per_run(ray_session, fixture_corpus_dir, tmp_path, monkeypatch):
+    """Staging and extraction are one execution each, however many
+    partitions there are; a resume, which reuses the staging, is one."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    executions = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        executions.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    inp = os.path.join(fixture_corpus_dir, "documents.parquet")
+    out = str(tmp_path / "out8")
+    _crash(inp, out, 8, after=4)
+    assert len(executions) == 2
+    _run(inp, out, 8)
+    assert len(executions) == 3
+    _run(inp, str(tmp_path / "out16"), 16)
+    assert len(executions) == 5
+
+
 def test_lsh_bucket_pair_cap():
     """Degenerate buckets stay linear: star-join + consecutive chain, not O(n^2)."""
     import pyarrow as pa
