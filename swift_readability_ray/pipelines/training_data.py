@@ -10,6 +10,13 @@ Scale notes (100 TB discipline):
   otherwise shuffle fat rows (we group only small derived columns)
 - small-side joins broadcast via ``ray.put`` instead of shuffling
 - floating aggregates exposed to the oracle are integer-exact or rounded
+
+Routing: every "merge on the driver, else go distributed" choice here and
+in ``stages/graph.py`` / ``stages/dedup.py`` is one ``routing.route(gate,
+n)`` call against the named limit in ``routing.LIMITS``; no op takes a
+size-limit or force parameter.  ``with routing.forced():`` (all gates) or
+``routing.forced("events_sessions", ...)`` (named gates) runs the
+distributed paths instead — for tests and dry runs.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from .. import routing as R
 from ..functions import text_stats as T
 from ..stages import dedup as D
 from ..stages import graph as G
@@ -88,6 +96,7 @@ def _docs_sized(sf_dir: str, columns=None, rows_per_block: int = 4096):
 # pass (judge r2 item #5).  Valid for the life of the Ray session (the
 # materialized blocks live in the object store).
 _MINHASH_PAIR_CACHE: dict = {}
+_PAIR_GATES = ("dedup.minhash_candidate_pairs", "dedup.minhash_dedup_pairs")
 
 # the span extraction over the synthesized page corpus, materialized per
 # sf_dir — extract_spans / span_stats / extract_certificate and the page
@@ -108,12 +117,17 @@ def _extracted_spans(sf_dir: str) -> ray.data.Dataset:
 
 
 def _minhash_pairs_cached(sf_dir: str, threshold: float) -> ray.data.Dataset:
+    """Session-cached verified pair table; computed afresh (and not
+    cached) while one of its gates is forced."""
+    def build() -> ray.data.Dataset:
+        ds = _docs(sf_dir, columns=["doc_id", "text"])
+        return D.minhash_dedup_pairs(ds, threshold=threshold).materialize()
+
+    if R.is_forced(*_PAIR_GATES):
+        return build()
     key = (sf_dir, threshold)
     if key not in _MINHASH_PAIR_CACHE:
-        ds = _docs(sf_dir, columns=["doc_id", "text"])
-        _MINHASH_PAIR_CACHE[key] = D.minhash_dedup_pairs(
-            ds, threshold=threshold
-        ).materialize()
+        _MINHASH_PAIR_CACHE[key] = build()
     return _MINHASH_PAIR_CACHE[key]
 
 
@@ -124,12 +138,18 @@ def _component_labels_cached(sf_dir: str, threshold: float) -> ray.data.Dataset:
     """Session-cached component labeling over the cached pair table: ONE
     labeling pass serves minhash_cluster_sizes, neardup_keep_best (gate
     path) and dedup_cluster_purity — the pay-once discipline the pair
-    cache already applies to the LSH+verify pass.  Forced-distributed
-    callers bypass this (the meta-pin must exercise the live path)."""
+    cache already applies to the LSH+verify pass.  Computed afresh (and
+    not cached) while its gate or a pair gate is forced, so a forced run
+    exercises the live path."""
+    def build() -> ray.data.Dataset:
+        return D.component_labels(
+            _minhash_pairs_cached(sf_dir, threshold)).materialize()
+
+    if R.is_forced("dedup.component_labels", *_PAIR_GATES):
+        return build()
     key = (sf_dir, threshold)
     if key not in _COMPONENT_LABEL_CACHE:
-        _COMPONENT_LABEL_CACHE[key] = D.component_labels(
-            _minhash_pairs_cached(sf_dir, threshold)).materialize()
+        _COMPONENT_LABEL_CACHE[key] = build()
     return _COMPONENT_LABEL_CACHE[key]
 
 
@@ -619,12 +639,12 @@ def embedding_neardup(sf_dir: str, threshold: float = 0.25) -> pa.Table:
     )
 
 
-def orders_by_segment(sf_dir: str, broadcast_limit: int = 5_000_000) -> pa.Table:
+def orders_by_segment(sf_dir: str) -> pa.Table:
     """Join orders ⋈ customer → per-segment counts (ints only).
 
     Dimension-size guard (judge r1): the customer side is broadcast via
     ``ray.put`` only while it fits a driver/worker budget
-    (``broadcast_limit`` rows — the count comes from parquet metadata, no
+    (its gate limit in rows — the count is a metadata read, no
     scan); a fatter dimension falls back to a distributed hash join so the
     driver never builds an unbounded dict.
     """
@@ -633,7 +653,8 @@ def orders_by_segment(sf_dir: str, broadcast_limit: int = 5_000_000) -> pa.Table
     )
     orders = _read_sized(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
 
-    if customers.count() > broadcast_limit:
+    n_cust = customers.count()
+    if R.route("orders_by_segment.customers", n_cust) == "distributed":
         n_cpus = int(ray.cluster_resources().get("CPU", 8))
         tagged = orders.join(
             customers,
@@ -685,7 +706,7 @@ def orders_by_segment(sf_dir: str, broadcast_limit: int = 5_000_000) -> pa.Table
         ).rename_columns(["c_mktsegment", "n_orders", "n_customers"])
 
     n_orders_rows = _footer_rows(f"{sf_dir}/orders.parquet")
-    if n_orders_rows is not None and n_orders_rows <= broadcast_limit:
+    if R.route("orders_by_segment.orders", n_orders_rows) == "driver":
         out = seg_rollup(_merge_partials(
             partials, ["c_mktsegment", "o_custkey"], [("n", "sum")]
         ))
@@ -1148,10 +1169,7 @@ def events_hopping(sf_dir: str, window_hours: int = 6) -> pa.Table:
         "sum_value_c": tbl.column("sum_value_c")})
 
 
-def events_watermark_late(
-    sf_dir: str, driver_limit: int = 5_000_000,
-    force_distributed: bool = False,
-) -> pa.Table:
+def events_watermark_late(sf_dir: str) -> pa.Table:
     """Out-of-orderness audit — the measurement that SIZES a streaming
     watermark: treating ``event_id`` as arrival order, an event is LATE
     if its ts precedes the running max ts of earlier arrivals for the
@@ -1169,7 +1187,8 @@ def events_watermark_late(
                       "n_events": pa.array([], pa.int64()),
                       "n_late": pa.array([], pa.int64()),
                       "max_lateness_us": pa.array([], pa.int64())})
-    if _footer_rows(path) == 0:
+    n_ev = _footer_rows(path)
+    if n_ev == 0:
         return empty
 
     def tail(t: pa.Table) -> pa.Table:
@@ -1197,9 +1216,7 @@ def events_watermark_late(
                          "n_late": pa.array(out_l, pa.int64()),
                          "max_lateness_us": pa.array(out_m, pa.int64())})
 
-    n_ev = _footer_rows(path)
-    if not force_distributed and (n_ev is not None
-                                  and n_ev <= driver_limit):
+    if R.route("events_watermark_late", n_ev) == "driver":
         thin = _read_sized(path, columns=["user_id", "event_id", "ts"])
         return tail(_collect(thin, fallback_schema={
             "user_id": pa.int64(), "event_id": pa.int64(),
@@ -1244,9 +1261,7 @@ def ngram_dedup(sf_dir: str, threshold: float = 0.5) -> pa.Table:
     )
 
 
-def containment_pairs(
-    sf_dir: str, threshold: float = 0.6, force_distributed: bool = False,
-) -> pa.Table:
+def containment_pairs(sf_dir: str, threshold: float = 0.6) -> pa.Table:
     """ASYMMETRIC near-dup (the sixth dedup family): ordered pairs where
     doc_a's word-trigram shingle set is ≥ ``threshold``-contained in
     doc_b's — the quote-inclusion / boilerplate-wrap detector Jaccard
@@ -1260,11 +1275,7 @@ def containment_pairs(
     hash-join / broadcast-gated verification over packed shingle buffers.
     The driver gate is meta-pinned equal to the distributed path."""
     ds = _docs_sized(sf_dir, columns=["doc_id", "text"])
-    pairs = D.containment_dedup_pairs(
-        ds, threshold=threshold,
-        broadcast_limit=0 if force_distributed else 50_000,
-        force_distributed=force_distributed,
-    )
+    pairs = D.containment_dedup_pairs(ds, threshold=threshold)
     tbl = _collect(pairs, fallback_schema={
         "doc_a": pa.int64(), "doc_b": pa.int64(),
         "containment": pa.float64()})
@@ -1399,22 +1410,21 @@ def lineitem_agg(sf_dir: str) -> pa.Table:
     ).sort_by([("l_returnflag", "ascending"), ("l_linestatus", "ascending")])
 
 
-def events_sessions(
-    sf_dir: str, gap_seconds: int = 1800, driver_limit: int = 1_000_000
-) -> pa.Table:
+def events_sessions(sf_dir: str, gap_seconds: int = 1800) -> pa.Table:
     """Sessionized windowed aggregate: per-user event and session counts.
 
     A session break is a gap > ``gap_seconds`` between consecutive events of
     the same user.  The groupby shuffles by user_id (the one partitioning
     key); the per-group window logic is a vectorized numpy diff over the
     sorted timestamps — no Python loop over events.  Tables whose metadata
-    row count is at or under ``driver_limit`` run ONE driver-side lexsorted
+    row count is at or under the gate limit run ONE driver-side lexsorted
     pass with run-boundary slicing instead of the shuffle (the
     fixed-cost-vs-work trade documented in _bucket_pairs; fallback test
     pins the shuffle path equal).
     """
     path = f"{sf_dir}/events.parquet"
-    if _footer_rows(path) == 0:
+    n_rows = _footer_rows(path)
+    if n_rows == 0:
         return pa.table({"user_id": pa.array([], pa.int64()), "n_events": pa.array([], pa.int64()), "n_sessions": pa.array([], pa.int64())})
     gap_us = gap_seconds * 1_000_000
 
@@ -1422,8 +1432,7 @@ def events_sessions(
         gaps = np.diff(ts_us)
         return len(ts_us), 1 + int((gaps > gap_us).sum())
 
-    n_rows = _footer_rows(path)
-    if n_rows is not None and n_rows <= driver_limit:
+    if R.route("events_sessions", n_rows) == "driver":
         tbl = pa.concat_tables(
             _read_sized(path, columns=["user_id", "ts"]).iter_batches(
                 batch_format="pyarrow"
@@ -2068,9 +2077,7 @@ def embedding_neardup_lsh_query(sf_dir: str, threshold: float = 0.9) -> pa.Table
     )
 
 
-def dup_ngram_stats(
-    sf_dir: str, n: int = 8, driver_limit: int = 5_000_000
-) -> pa.Table:
+def dup_ngram_stats(sf_dir: str, n: int = 8) -> pa.Table:
     """Cross-document duplicated n-gram signal (the exact-substring dup
     statistic of "Deduplicating Training Data Makes Language Models Better",
     Lee et al. 2022): per document, how many of its distinct word ``n``-grams
@@ -2081,7 +2088,7 @@ def dup_ngram_stats(
          8-byte rows cross any exchange, never gram text;
       2. per-gram doc counts: vectorized per-block partial count
          (``pc.value_counts``); the combine is METADATA-GATED — when the
-         materialized gram table is ≤``driver_limit`` rows (~80 MB of
+         materialized gram table is ≤ the gate limit rows (~80 MB of
          int64 pairs at 5M) the partials merge on the driver (Ray's
          Aggregate costs ~10 ms/block regardless of rows — see
          _merge_partials), else one distributed hash groupby over gram_h
@@ -2137,7 +2144,7 @@ def dup_ngram_stats(
         )
 
     n_gram_rows = D._metadata_row_count(gram_rows)
-    small = n_gram_rows is not None and n_gram_rows <= driver_limit
+    small = R.route("dup_ngram_stats.grams", n_gram_rows) == "driver"
     dup_np: np.ndarray | None = None
     if small:
         # driver merge of the per-block partials (partial rows ≤ gram rows,
@@ -2166,7 +2173,7 @@ def dup_ngram_stats(
             .materialize()
         )
         n_dup_keys = D._metadata_row_count(dup_keys)
-        if n_dup_keys is not None and n_dup_keys <= 2_000_000:
+        if R.route("dup_ngram_stats.keys", n_dup_keys) == "driver":
             dup_np = np.sort(np.concatenate(
                 [b.column("gram_h").to_numpy()
                  for b in dup_keys.iter_batches(batch_format="pyarrow")]
@@ -2233,7 +2240,6 @@ def decontaminate(
     n: int = 8,
     eval_mod: int = 17,
     eval_rem: int = 3,
-    broadcast_limit: int = 2_000_000,
 ) -> pa.Table:
     """Benchmark decontamination: flag corpus documents sharing any word
     ``n``-gram with a held-out eval slice (the n-gram-overlap test used to
@@ -2267,7 +2273,7 @@ def decontaminate(
     ).materialize()
     n_ev = D._metadata_row_count(ev)
 
-    if n_ev is not None and n_ev <= broadcast_limit:
+    if R.route("decontaminate", n_ev) == "driver":
         keys = np.unique(
             np.concatenate(
                 [b.column("gram_h").to_numpy()
@@ -2395,9 +2401,7 @@ def _interval_union_len(starts: np.ndarray, n: int, length: int) -> int:
     return int(np.clip(contrib, 0, None).sum())
 
 
-def dup_span_coverage(
-    sf_dir: str, n: int = 8, broadcast_limit: int = 2_000_000
-) -> pa.Table:
+def dup_span_coverage(sf_dir: str, n: int = 8) -> pa.Table:
     """Exact-substring dedup REMOVAL mask (the other half of Lee et al.
     2022, whose duplication *signal* is :func:`dup_ngram_stats`): per doc,
     how many token positions are covered by at least one word ``n``-gram
@@ -2410,7 +2414,7 @@ def dup_span_coverage(
          duplicate too, exactly like suffix-array dedup);
       2. per-gram totals combine via value_counts partials (driver-merged
          under the gate, distributed groupby above);
-      3. duplicated keys ≤``broadcast_limit`` broadcast as a sorted int64
+      3. duplicated keys ≤ the gate limit broadcast as a sorted int64
          array and each doc computes its own coverage in-batch
          (searchsorted membership + vectorized interval union —
          shuffle-free); above the gate the fallback joins gram rows to
@@ -2470,8 +2474,7 @@ def dup_span_coverage(
         return pa.table({"gram_h": vc.field("values"),
                          "cnt": pc.cast(vc.field("counts"), pa.int64())})
 
-    n_rows = D._metadata_row_count(rows)
-    if n_rows is not None and n_rows <= broadcast_limit:
+    if R.route("dup_span_coverage", D._metadata_row_count(rows)) == "driver":
         ptbl = _collect(
             rows.map_batches(count_partial, batch_format="pyarrow",
                              zero_copy_batch=True),
@@ -2550,9 +2553,7 @@ def dup_span_coverage(
     return tbl.append_column("n_kept", kept).sort_by("doc_id")
 
 
-def doc_typicality(
-    sf_dir: str, broadcast_limit: int = 2_000_000
-) -> pa.Table:
+def doc_typicality(sf_dir: str) -> pa.Table:
     """Unigram-LM typicality signal: per doc, the summed CORPUS frequency
     of its tokens (the integer-exact core of a language-model likelihood
     score — higher = more typical text, the classifier-lite quality signal
@@ -2572,8 +2573,7 @@ def doc_typicality(
 
     partials = ds.map_batches(_word_count_partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    n_rows = _footer_rows(path)
-    if n_rows is not None and n_rows <= broadcast_limit:
+    if R.route("doc_typicality", _footer_rows(path)) == "driver":
         vocab = pa.concat_tables(
             partials.iter_batches(batch_format="pyarrow")
         ).group_by(["term"]).aggregate([("n", "sum")])
@@ -2617,9 +2617,7 @@ def doc_typicality(
     ).sort_by("doc_id")
 
 
-def bpe_first_merges(
-    sf_dir: str, k: int = 10, driver_limit: int = 2_000_000
-) -> pa.Table:
+def bpe_first_merges(sf_dir: str, k: int = 10) -> pa.Table:
     """First BPE training step (Sennrich et al. 2016): the top-``k``
     adjacent character pairs by corpus frequency — the pairs the first
     merge rounds of a byte-pair-encoding tokenizer would learn.
@@ -2650,8 +2648,7 @@ def bpe_first_merges(
 
     partials = ds.map_batches(_word_count_partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    n_rows = _footer_rows(path)
-    if n_rows is not None and n_rows <= driver_limit:
+    if R.route("bpe_first_merges", _footer_rows(path)) == "driver":
         vocab = pa.concat_tables(
             partials.iter_batches(batch_format="pyarrow")
         ).group_by(["term"]).aggregate([("n", "sum")])
@@ -2693,7 +2690,6 @@ def conversion_funnel(
     sf_dir: str,
     first_type: str = "signup",
     then_type: str = "purchase",
-    driver_limit: int = 5_000_000,
 ) -> pa.Table:
     """Event-sequence funnel: of the users who ever emitted ``first_type``,
     how many later emitted ``then_type`` (strictly after their first
@@ -2725,8 +2721,7 @@ def conversion_funnel(
 
     partials = ds.map_batches(min_partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    n_rows = _footer_rows(path)
-    if n_rows is not None and n_rows <= driver_limit:
+    if R.route("conversion_funnel", _footer_rows(path)) == "driver":
         per_user = _merge_partials(
             partials, ["user_id", "event_type"], [("ts_us", "min")]
         )
@@ -2755,10 +2750,7 @@ def conversion_funnel(
     )
 
 
-def delta_dedup(
-    sf_dir: str, new_mod: int = 10, new_rem: int = 0,
-    broadcast_limit: int = 50_000_000
-) -> pa.Table:
+def delta_dedup(sf_dir: str, new_mod: int = 10, new_rem: int = 0) -> pa.Table:
     """Incremental (delta) dedup — the production shape: dedupe a NEW
     crawl batch against the EXISTING corpus without ever re-shuffling the
     corpus.  Here the new batch is ``doc_id % new_mod == new_rem``; a new
@@ -2767,7 +2759,7 @@ def delta_dedup(
 
     The old corpus contributes only 8-byte fingerprints: per-block
     distinct digest partials → one sorted int64 broadcast (``ray.put``)
-    under ``broadcast_limit`` old rows; new docs then self-score in-batch
+    under the gate limit old rows; new docs then self-score in-batch
     with searchsorted (vs corpus) + a distributed first-per-digest
     groupby among themselves (new-batch-sized, tiny).  At a 100 TB
     corpus the broadcast becomes the persisted fingerprint index the
@@ -2815,7 +2807,7 @@ def delta_dedup(
     )
     first_new = new_rows.groupby("digest").aggregate(Min("doc_id"))
 
-    if n_rows is not None and n_rows <= broadcast_limit:
+    if R.route("delta_dedup", n_rows) == "driver":
         corpus_keys = np.unique(np.concatenate(
             [b.column("digest").to_numpy()
              for b in keyed.map_batches(
@@ -2932,9 +2924,7 @@ def _lex_last_per_user(uid: np.ndarray, ts: np.ndarray, eid: np.ndarray
     return order[last]
 
 
-def latest_event_per_user(
-    sf_dir: str, driver_limit: int = 5_000_000
-) -> pa.Table:
+def latest_event_per_user(sf_dir: str) -> pa.Table:
     """Log compaction (CDC upsert semantics): keep each user's LATEST event
     by (ts, event_id) — the keep-last-write reduction every incremental
     table maintenance job runs.
@@ -2950,7 +2940,8 @@ def latest_event_per_user(
     from ray.data.aggregate import Max
 
     path = f"{sf_dir}/events.parquet"
-    if _footer_rows(path) == 0:
+    n_rows = _footer_rows(path)
+    if n_rows == 0:
         return pa.table({"user_id": pa.array([], pa.int64()), "last_ts": pa.array([], pa.timestamp('us')), "last_event_id": pa.array([], pa.int64()), "last_value_c": pa.array([], pa.int64())})
     ds = _read_sized(path, columns=["user_id", "event_id", "ts", "value"])
 
@@ -2971,8 +2962,7 @@ def latest_event_per_user(
 
     partials = ds.map_batches(last_partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    n_rows = _footer_rows(path)
-    if n_rows is not None and n_rows <= driver_limit:
+    if R.route("latest_event_per_user", n_rows) == "driver":
         tbl = pa.concat_tables(partials.iter_batches(batch_format="pyarrow"))
         keep = tbl.take(pa.array(_lex_last_per_user(
             tbl.column("user_id").to_numpy(),
@@ -4156,7 +4146,6 @@ def events_rolling(
     sf_dir: str,
     preceding: int = 3,
     range_minutes: int = 60,
-    driver_limit: int = 1_000_000,
 ) -> pa.Table:
     """Rolling-window aggregates per user: the windowed-aggregate operator
     family as a first-class op, in both SQL window frame modes —
@@ -4178,7 +4167,7 @@ def events_rolling(
     would need key salting, which windowed semantics forbid (frames cross
     salt boundaries), so the hot-key mitigation is the rows-per-block cap
     on the read.  Tables whose metadata row count is at or under
-    ``driver_limit`` run the same kernel over one driver-side lexsorted
+    the gate limit run the same kernel over one driver-side lexsorted
     pass (run-boundary slicing on user_id) instead of paying the shuffle's
     fixed cost — identical output, shuffle path pinned by the fallback
     test.
@@ -4212,12 +4201,12 @@ def events_rolling(
         return ts, eid, cents
 
     path = f"{sf_dir}/events.parquet"
-    if _footer_rows(path) == 0:
+    n_rows = _footer_rows(path)
+    if n_rows == 0:
         return pa.table({"event_id": pa.array([], pa.int64()), "user_id": pa.array([], pa.int64()), "rn": pa.array([], pa.int64()), "roll_sum_c": pa.array([], pa.int64()), "range_sum_c": pa.array([], pa.int64())})
     cols = ["event_id", "user_id", "ts", "value"]
-    n_rows = _footer_rows(path)
 
-    if n_rows is not None and n_rows <= driver_limit:
+    if R.route("events_rolling", n_rows) == "driver":
         tbl = pa.concat_tables(
             _read_sized(path, columns=cols).iter_batches(batch_format="pyarrow")
         )
@@ -4256,7 +4245,6 @@ def events_rolling(
 def events_quantiles(
     sf_dir: str,
     qs: tuple[float, ...] = (0.25, 0.5, 0.75, 0.95),
-    driver_limit: int = 5_000_000,
 ) -> pa.Table:
     """Exact per-type order statistics: the q-quantile is pinned as "the
     ceil(q·n)-th smallest value" (rank semantics, no interpolation), in
@@ -4268,11 +4256,12 @@ def events_quantiles(
     quantiles NEED every value co-located (this is the distributed-sort
     problem); at 100 TB the right tool is a mergeable sketch (t-digest /
     KLL) with rank-error bounds, which this exact path would validate at
-    sample scale.  Under ``driver_limit`` (metadata row count) the sort
+    sample scale.  Under the gate limit (metadata row count) the sort
     runs driver-side on the collected two-column table.
     """
     path = f"{sf_dir}/events.parquet"
-    if _footer_rows(path) == 0:
+    n_rows = _footer_rows(path)
+    if n_rows == 0:
         cols = {"event_type": pa.array([], pa.string())}
         for q in qs:
             cols[f"p{int(q * 100)}_c"] = pa.array([], pa.int64())
@@ -4307,8 +4296,7 @@ def events_quantiles(
         project, batch_format="pyarrow", zero_copy_batch=True
     )
 
-    n_rows = _footer_rows(path)
-    if n_rows is not None and n_rows <= driver_limit:
+    if R.route("events_quantiles", n_rows) == "driver":
         tbl = pa.concat_tables(ds.iter_batches(batch_format="pyarrow"))
         types = tbl.column("event_type").to_numpy(zero_copy_only=False)
         vals = tbl.column("v_c").to_numpy()
@@ -4328,7 +4316,6 @@ def events_quantiles_sketch(
     sf_dir: str,
     qs: tuple[float, ...] = (0.25, 0.5, 0.75, 0.95),
     n_bins: int = 4096,
-    driver_limit: int = 5_000_000,
 ) -> pa.Table:
     """Mergeable histogram quantile sketch — the 100 TB sibling the exact
     ``events_quantiles`` docstring promises: fixed global bin edges (from
@@ -4379,8 +4366,7 @@ def events_quantiles_sketch(
     ds = _read_sized(path, columns=["event_type", "value"]).map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True
     )
-    n_rows = _footer_rows(path)
-    if n_rows is not None and n_rows <= driver_limit:
+    if R.route("events_quantiles_sketch", _footer_rows(path)) == "driver":
         hist = _merge_partials(ds, ["event_type", "bin"], [("cnt", "sum")])
     else:
         from ray.data.aggregate import Sum
@@ -4420,13 +4406,13 @@ def events_quantiles_sketch(
 
 
 def customers_without_orders(
-    sf_dir: str, since: str = "2000-01-01", broadcast_limit: int = 5_000_000
+    sf_dir: str, since: str = "2000-01-01"
 ) -> pa.Table:
     """Anti-join as a first-class op: customers with no orders on or after
     ``since`` (churned customers), counted per market segment.
 
     The order-side key set (distinct custkeys of recent orders) broadcasts
-    while the orders footer row count is under ``broadcast_limit`` — each
+    while the orders footer row count is under the gate limit — each
     customer batch then anti-filters with a sorted-array searchsorted miss
     test and pre-counts per segment, so only (segment, partial-count) rows
     reach the driver merge.  Above the gate, a distributed LEFT ANTI hash
@@ -4450,7 +4436,7 @@ def customers_without_orders(
 
     n_orders = _footer_rows(f"{sf_dir}/orders.parquet")
 
-    if n_orders is not None and n_orders <= broadcast_limit:
+    if R.route("customers_without_orders", n_orders) == "driver":
         keys = np.unique(np.concatenate(
             [b.column("o_custkey").to_numpy()
              for b in orders.iter_batches(batch_format="pyarrow")]
@@ -4515,14 +4501,12 @@ def customers_without_orders(
     return tbl.sort_by("c_mktsegment")
 
 
-def events_user_counts(
-    sf_dir: str, driver_limit: int = 5_000_000
-) -> pa.Table:
+def events_user_counts(sf_dir: str) -> pa.Table:
     """Exact distinct-count per group: users per event type.
 
     The map side dedupes (event_type, user_id) pairs per batch (pyarrow
     group_by — the distinct combiner), so the exchange carries at most
-    groups × users-per-batch rows, not events.  Under ``driver_limit``
+    groups × users-per-batch rows, not events.  Under the gate limit
     (metadata event count) the surviving pair set merges driver-side with
     one np.unique; above it a distributed pair-distinct groupby followed by
     a per-type count does the same.  The HLL sibling
@@ -4530,7 +4514,8 @@ def events_user_counts(
     where even the distinct pair set is too wide to shuffle.
     """
     path = f"{sf_dir}/events.parquet"
-    if _footer_rows(path) == 0:
+    n_rows = _footer_rows(path)
+    if n_rows == 0:
         return pa.table({"event_type": pa.array([], pa.string()), "n_users": pa.array([], pa.int64())})
     import pyarrow.parquet as pq
 
@@ -4544,8 +4529,7 @@ def events_user_counts(
         pair_distinct, batch_format="pyarrow", zero_copy_batch=True
     )
 
-    n_rows = _footer_rows(path)
-    if n_rows is not None and n_rows <= driver_limit:
+    if R.route("events_user_counts", n_rows) == "driver":
         tbl = pa.concat_tables(ds.iter_batches(batch_format="pyarrow"))
         types = tbl.column("event_type").to_numpy(zero_copy_only=False)
         uids = tbl.column("user_id").to_numpy()
@@ -4653,7 +4637,6 @@ def q3_top_orders(
     segment: str = "BUILDING",
     cutoff: str = "1998-01-01",
     k: int = 10,
-    broadcast_limit: int = 5_000_000,
 ) -> pa.Table:
     """TPC-H Q3-style shipping-priority query: top-``k`` orders by revenue
     for one market segment, over the 3-way customer ⋈ orders ⋈ lineitem
@@ -4664,7 +4647,7 @@ def q3_top_orders(
 
     Scale shape (one fact-table pass, no fact shuffle in the common case):
       - customer: column-pruned read, segment filter; the qualifying key
-        set broadcasts while the footer row count is ≤``broadcast_limit``,
+        set broadcasts while the footer row count is ≤ the gate limit,
         else orders take a distributed hash join against it;
       - orders: date + segment-membership filter inside map_batches
         (vectorized searchsorted on the broadcast key set), then the
@@ -4690,7 +4673,8 @@ def q3_top_orders(
         m = pc.equal(batch.column("c_mktsegment"), segment)
         return batch.filter(m).select(["c_custkey"])
 
-    cust_small = customers.count() <= broadcast_limit
+    cust_small = R.route("q3_top_orders.customers",
+                         customers.count()) == "driver"
     if cust_small:
         keys = np.sort(np.concatenate(
             [b.column("c_custkey").to_numpy()
@@ -4760,7 +4744,7 @@ def q3_top_orders(
         return t.group_by(["o_orderkey"]).aggregate([("rev_c4", "sum")])
 
     n_ords = D._metadata_row_count(ords)
-    ords_small = n_ords is not None and n_ords <= broadcast_limit
+    ords_small = R.route("q3_top_orders.orders", n_ords) == "driver"
     if ords_small:
         ok, od = [], []
         for b in ords.iter_batches(batch_format="pyarrow"):
@@ -4990,9 +4974,7 @@ def repetition_stats(sf_dir: str) -> pa.Table:
     ).sort_by("doc_id")
 
 
-def inverted_index(
-    sf_dir: str, k: int = 20, driver_limit: int = 2_000_000
-) -> pa.Table:
+def inverted_index(sf_dir: str, k: int = 20) -> pa.Table:
     """Inverted-index posting statistics: per term, document frequency,
     total term frequency, and the posting list's first/last doc_id; the
     top ``k`` terms by (df desc, term asc).
@@ -5000,7 +4982,7 @@ def inverted_index(
     The map side emits one (term, tf) row per DISTINCT term per doc
     (vocabulary-sized exchange, never corpus-sized).  Docs are disjoint
     across blocks, so per-block partials (df/tf/min/max per term) combine
-    associatively: under ``driver_limit`` source rows (parquet footer)
+    associatively: under the gate limit source rows (parquet footer)
     they merge on the driver, above it one distributed groupby over the
     term key does the same (full posting LISTS would shard the same way —
     the stats are the oracle-able projection)."""
@@ -5044,8 +5026,7 @@ def inverted_index(
     partials = ds.map_batches(
         term_partials, batch_format="pyarrow", zero_copy_batch=True
     )
-    n_rows = _footer_rows(path)
-    if n_rows is not None and n_rows <= driver_limit:
+    if R.route("inverted_index", _footer_rows(path)) == "driver":
         ptbl = pa.concat_tables(partials.iter_batches(batch_format="pyarrow"))
         agg = ptbl.group_by(["term"]).aggregate(
             [("df", "sum"), ("tf_total", "sum"),
@@ -5078,7 +5059,7 @@ def inverted_index(
 
 
 def events_pivot(
-    sf_dir: str, driver_limit: int = 5_000_000,
+    sf_dir: str,
     types: list[str] | None = None,
 ) -> pa.Table:
     """Pivot (one-hot aggregate): per user, event counts spread across one
@@ -5093,7 +5074,7 @@ def events_pivot(
     ``value_counts`` partials driver-merged; event-type cardinality is
     bounded).  The pivot itself is a vectorized
     per-block conditional-count partial (one ``pc.equal`` mask per type —
-    no Python per row), combined on the driver under ``driver_limit``
+    no Python per row), combined on the driver under the gate limit
     source rows, else by one distributed groupby over user_id."""
     from ray.data.aggregate import Sum
 
@@ -5141,8 +5122,7 @@ def events_pivot(
     partials = ds.map_batches(
         pivot_partial, batch_format="pyarrow", zero_copy_batch=True
     )
-    n_rows = _footer_rows(path)
-    if n_rows is not None and n_rows <= driver_limit:
+    if R.route("events_pivot", _footer_rows(path)) == "driver":
         tbl = _merge_partials(
             partials, ["user_id"], [(c, "sum") for c in cols + ["n_total"]]
         )
@@ -5278,7 +5258,7 @@ def link_graph(sf_dir: str) -> pa.Table:
     Per-block partial counting (key space bounded by N_HOSTS² for this
     synthesis) + driver merge; a real crawl's host-pair cardinality is
     unbounded, so the distributed sibling is the native groupby that
-    ``pagerank_hosts(force_distributed=True)`` exercises."""
+    ``pagerank_hosts`` runs under the forced policy."""
     partial = _host_edges(sf_dir).map_batches(
         lambda b: b.group_by(["src_host", "dst_host"])
         .aggregate([("dst_host", "count")])
@@ -5310,31 +5290,27 @@ def _weighted_host_edges(sf_dir: str) -> ray.data.Dataset:
     )
 
 
-def pagerank_hosts(sf_dir: str, iterations: int = 5,
-                   force_distributed: bool = False) -> pa.Table:
+def pagerank_hosts(sf_dir: str, iterations: int = 5) -> pa.Table:
     """Fixed-iteration integer PageRank over the host graph →
     (host, rank_c).  Semantics, regimes and the oracle pin are documented
     in stages/graph.py."""
     if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
         return pa.table({"host": pa.array([], pa.string()),
                          "rank_c": pa.array([], pa.int64())})
-    return G.pagerank(_weighted_host_edges(sf_dir), iterations=iterations,
-                      force_distributed=force_distributed)
+    return G.pagerank(_weighted_host_edges(sf_dir), iterations=iterations)
 
 
-def host_components(sf_dir: str, force_distributed: bool = False) -> pa.Table:
+def host_components(sf_dir: str) -> pa.Table:
     """Connected components of the undirected host graph →
     (host, component); component = min host label, matching both the
     recursive-CTE oracle and the near-dup collapse convention."""
     if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
         return pa.table({"host": pa.array([], pa.string()),
                          "component": pa.array([], pa.string())})
-    return G.connected_components(_host_edges(sf_dir),
-                                  force_distributed=force_distributed)
+    return G.connected_components(_host_edges(sf_dir))
 
 
-def neardup_keep_best(sf_dir: str, threshold: float = 0.5,
-                      force_distributed: bool = False) -> pa.Table:
+def neardup_keep_best(sf_dir: str, threshold: float = 0.5) -> pa.Table:
     """Near-dup collapse keeping the BEST doc per cluster — longest
     ``n_chars``, ties to the smallest ``doc_id`` — plus the cluster size:
     (doc_id, n_chars, cluster_size).  Real pipelines keep the longest /
@@ -5357,12 +5333,7 @@ def neardup_keep_best(sf_dir: str, threshold: float = 0.5,
     if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
         return empty
     docs = _docs_sized(sf_dir, columns=["doc_id", "n_chars"])
-    labels = (
-        D.component_labels(_minhash_pairs_cached(sf_dir, threshold),
-                           force_distributed=True).materialize()
-        if force_distributed
-        else _component_labels_cached(sf_dir, threshold)
-    )
+    labels = _component_labels_cached(sf_dir, threshold)
     npart = D._default_join_partitions(docs)
     if labels.count() == 0:
         # no verified pairs: every doc is its own cluster — skip the join
@@ -5533,9 +5504,7 @@ def host_profiles(sf_dir: str) -> pa.Table:
     })
 
 
-def attribution_last_touch(
-    sf_dir: str, driver_limit: int = 1_000_000
-) -> pa.Table:
+def attribution_last_touch(sf_dir: str) -> pa.Table:
     """Last-touch attribution: for every ``purchase`` event, the latest
     ``click`` by the same user at-or-before it →
     (event_id, user_id, click_event_id, gap_us), -1 when unattributed.
@@ -5553,7 +5522,8 @@ def attribution_last_touch(
                       "user_id": pa.array([], pa.int64()),
                       "click_event_id": pa.array([], pa.int64()),
                       "gap_us": pa.array([], pa.int64())})
-    if _footer_rows(path) == 0:
+    n_rows = _footer_rows(path)
+    if n_rows == 0:
         return empty
 
     def attribute(p_ts, p_eid, c_ts, c_eid):
@@ -5581,8 +5551,7 @@ def attribution_last_touch(
         })
 
     cols = ["event_id", "user_id", "event_type", "ts"]
-    n_rows = _footer_rows(path)
-    if n_rows is not None and n_rows <= driver_limit:
+    if R.route("attribution_last_touch", n_rows) == "driver":
         tbl = pa.concat_tables(
             _read_sized(path, columns=cols).iter_batches(
                 batch_format="pyarrow"))
@@ -5625,19 +5594,17 @@ def attribution_last_touch(
     }).sort_by("event_id")
 
 
-def random_walks(sf_dir: str, steps: int = 3,
-                 force_distributed: bool = False) -> pa.Table:
+def random_walks(sf_dir: str, steps: int = 3) -> pa.Table:
     """Deterministic 3-hop random walks from every host of the link graph
     → (host, h1, h2, h3); semantics and regimes in stages/graph.py."""
     if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
         return pa.table({"host": pa.array([], pa.string()),
                          **{f"h{k+1}": pa.array([], pa.string())
                             for k in range(steps)}})
-    return G.random_walks(_weighted_host_edges(sf_dir), steps=steps,
-                          force_distributed=force_distributed)
+    return G.random_walks(_weighted_host_edges(sf_dir), steps=steps)
 
 
-def retention_cohorts(sf_dir: str, driver_limit: int = 1_000_000) -> pa.Table:
+def retention_cohorts(sf_dir: str) -> pa.Table:
     """Weekly cohort retention: cohort = a user's first active epoch-week,
     and for every (cohort_week, week_offset) the count of distinct users
     active that many weeks later → (cohort_week, week_offset, n_users).
@@ -5654,7 +5621,8 @@ def retention_cohorts(sf_dir: str, driver_limit: int = 1_000_000) -> pa.Table:
     empty = pa.table({"cohort_week": pa.array([], pa.int64()),
                       "week_offset": pa.array([], pa.int64()),
                       "n_users": pa.array([], pa.int64())})
-    if _footer_rows(path) == 0:
+    n_rows = _footer_rows(path)
+    if n_rows == 0:
         return empty
 
     def finish(uid: np.ndarray, wk: np.ndarray) -> pa.Table:
@@ -5674,8 +5642,7 @@ def retention_cohorts(sf_dir: str, driver_limit: int = 1_000_000) -> pa.Table:
             "n_users": pa.array(counts.astype(np.int64), pa.int64()),
         })
 
-    n_rows = _footer_rows(path)
-    if n_rows is not None and n_rows <= driver_limit:
+    if R.route("retention_cohorts", n_rows) == "driver":
         tbl = pa.concat_tables(
             _read_sized(path, columns=["user_id", "ts"]).iter_batches(
                 batch_format="pyarrow"))
@@ -5788,10 +5755,7 @@ def cooccurrence_pairs(sf_dir: str, k: int = 20) -> pa.Table:
     return merged.take(idx[:k])
 
 
-def range_layout(
-    sf_dir: str, n_shards: int = 8, driver_limit: int = 2_000_000,
-    force_distributed: bool = False,
-) -> pa.Table:
+def range_layout(sf_dir: str, n_shards: int = 8) -> pa.Table:
     """Exact range-partitioned SORT layout: every doc gets the shard a
     global (n_chars, doc_id) sort order would place it in —
     ``shard_id = rank·n_shards // N`` (0-based rank) — and the audit
@@ -5811,13 +5775,10 @@ def range_layout(
     only the 16-byte key rows cross the one shuffle.  Under the documents
     footer gate the whole tail is one driver lexsort instead."""
     with _pinned_hash_shuffle():
-        return _range_layout_impl(sf_dir, n_shards, driver_limit,
-                                  force_distributed)
+        return _range_layout_impl(sf_dir, n_shards)
 
 
-def _range_layout_impl(
-    sf_dir: str, n_shards: int, driver_limit: int, force_distributed: bool,
-) -> pa.Table:
+def _range_layout_impl(sf_dir: str, n_shards: int) -> pa.Table:
     empty = pa.table({"shard_id": pa.array([], pa.int64()),
                       "n_docs": pa.array([], pa.int64()),
                       "min_chars": pa.array([], pa.int64()),
@@ -5842,8 +5803,7 @@ def _range_layout_impl(
              ("max_chars", "max")]).rename_columns(
             ["shard_id", "n_docs", "min_chars", "max_chars"])
 
-    if not force_distributed and (n_docs is not None
-                                  and n_docs <= driver_limit):
+    if R.route("range_layout", n_docs) == "driver":
         t = _collect(thin, fallback_schema={"doc_id": pa.int64(),
                                             "n_chars": pa.int64()})
         if t.num_rows == 0:
@@ -5912,10 +5872,7 @@ _SPLIT_PAIRS = (("test", "train", 5), ("test", "valid", 6),
                 ("train", "valid", 3))
 
 
-def split_leakage_audit(
-    sf_dir: str, n: int = 8, broadcast_limit: int = 2_000_000,
-    force_distributed: bool = False,
-) -> pa.Table:
+def split_leakage_audit(sf_dir: str, n: int = 8) -> pa.Table:
     """Train/test LEAKAGE audit across the deterministic splits: for each
     split pair, the number of distinct word-``n``-grams present in BOTH
     splits → (split_a, split_b, n_shared_grams), 3 rows — decontaminate's
@@ -5966,8 +5923,7 @@ def split_leakage_audit(
         partial, batch_format="pyarrow", zero_copy_batch=True)
     fb = {"gkey": pa.string(), "bit": pa.int64()}
 
-    if not force_distributed and (n_docs is not None
-                                  and n_docs <= broadcast_limit):
+    if R.route("split_leakage_audit", n_docs) == "driver":
         t = _collect(parts, fallback_schema=fb)
         if t.num_rows == 0:
             return finish(np.array([], np.int64))
@@ -6124,10 +6080,7 @@ def calibrated_length_filter(
     return t.sort_by("source")
 
 
-def prefix_clusters(
-    sf_dir: str, n_tokens: int = 8, broadcast_limit: int = 2_000_000,
-    force_distributed: bool = False,
-) -> pa.Table:
+def prefix_clusters(sf_dir: str, n_tokens: int = 8) -> pa.Table:
     """Template-cluster detection WITHIN a corpus: docs sharing the same
     ``n_tokens``-token prefix (shorter docs use their full token stream;
     empty docs are excluded) cluster together → one row per cluster with
@@ -6168,8 +6121,7 @@ def prefix_clusters(
         partial, batch_format="pyarrow", zero_copy_batch=True)
     fb = {"prefix_key": pa.string(), "n_docs": pa.int64(),
           "canonical_doc_id": pa.int64()}
-    if not force_distributed and (n_rows is not None
-                                  and n_rows <= broadcast_limit):
+    if R.route("prefix_clusters", n_rows) == "driver":
         merged = _merge_partials(
             parts, ["prefix_key"],
             [("n_docs", "sum"), ("canonical_doc_id", "min")],
@@ -6226,7 +6178,6 @@ def _levenshtein(a: str, b: str) -> int:
 
 def fuzzy_prefix_pairs(
     sf_dir: str, prefix_chars: int = 32, max_dist: int = 8,
-    broadcast_limit: int = 2_000_000, force_distributed: bool = False,
 ) -> pa.Table:
     """Approximate STRING-similarity self-join — the fuzzy-match family
     (title/record linkage) the equality joins can't express: doc pairs
@@ -6302,8 +6253,7 @@ def fuzzy_prefix_pairs(
                          "doc_b": pa.array(out_b, pa.int64()),
                          "dist": pa.array(out_d, pa.int64())})
 
-    if not force_distributed and (n_docs is not None
-                                  and n_docs <= broadcast_limit):
+    if R.route("fuzzy_prefix_pairs", n_docs) == "driver":
         return verify(_collect(thin, fallback_schema=fb)).sort_by(
             [("doc_a", "ascending"), ("doc_b", "ascending")])
 
@@ -6438,7 +6388,6 @@ def source_cap_sample(sf_dir: str, cap: int = 5) -> pa.Table:
 
 def vocab_coverage(
     sf_dir: str, sizes: tuple = (100, 200, 500, 1000, 2000, 5000),
-    broadcast_limit: int = 2_000_000, force_distributed: bool = False,
 ) -> pa.Table:
     """Tokenizer-sizing curve: for each candidate vocabulary size, the
     fraction of corpus TOKEN OCCURRENCES covered by the top-``size`` most
@@ -6467,8 +6416,7 @@ def vocab_coverage(
     ds = _docs_sized(sf_dir, columns=["text"], rows_per_block=1024)
     partials = ds.map_batches(_word_count_partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    if not force_distributed and (n_docs is not None
-                                  and n_docs <= broadcast_limit):
+    if R.route("vocab_coverage", n_docs) == "driver":
         vocab = _merge_partials(
             partials, ["term"], [("n", "sum")],
             fallback_schema={"term": pa.string(), "n": pa.int64()})
@@ -6576,23 +6524,17 @@ def _pct_rank_tail(doc_id: np.ndarray, src: np.ndarray,
                      "pct_ppm": pa.array(pct, pa.int64())})
 
 
-def quality_percentiles(
-    sf_dir: str, driver_limit: int = 2_000_000,
-    force_distributed: bool = False,
-) -> pa.Table:
+def quality_percentiles(sf_dir: str) -> pa.Table:
     """See ``_quality_percentiles_impl``.  This wrapper pins the session's
     shuffle strategy to HASH_SHUFFLE for the datasets the query creates
     (``repartition(keys=...)`` requires it; the DataContext is captured at
     dataset creation, so the pin must wrap the whole impl — the q21
     pattern) and restores the previous strategy on exit."""
     with _pinned_hash_shuffle():
-        return _quality_percentiles_impl(sf_dir, driver_limit,
-                                         force_distributed)
+        return _quality_percentiles_impl(sf_dir)
 
 
-def _quality_percentiles_impl(
-    sf_dir: str, driver_limit: int, force_distributed: bool,
-) -> pa.Table:
+def _quality_percentiles_impl(sf_dir: str) -> pa.Table:
     """Per-SOURCE percentile calibration of document token counts — the
     per-domain threshold builder large-corpus quality filtering uses
     (absolute length/quality cutoffs misfire across domains; FineWeb-style
@@ -6634,8 +6576,7 @@ def _quality_percentiles_impl(
                 np.asarray(t.column("source").to_pylist(), dtype=object),
                 t.column("n_tokens").to_numpy().astype(np.int64))
 
-    if not force_distributed and (n_docs is not None
-                                  and n_docs <= driver_limit):
+    if R.route("quality_percentiles", n_docs) == "driver":
         t = _collect(thin, fallback_schema=fb)
         if t.num_rows == 0:
             return empty
@@ -6652,10 +6593,7 @@ def _quality_percentiles_impl(
         "pct_ppm": pa.int64()}).sort_by("doc_id")
 
 
-def pmi_bigrams(
-    sf_dir: str, k: int = 50, min_count: int = 2,
-    broadcast_limit: int = 2_000_000, force_distributed: bool = False,
-) -> pa.Table:
+def pmi_bigrams(sf_dir: str, k: int = 50, min_count: int = 2) -> pa.Table:
     """Top-``k`` adjacent-word bigrams by pointwise mutual information —
     the collocation detector phrase-mining / tokenizer-vocab pipelines
     run over a corpus.  Score is the integer-exact PMI ratio
@@ -6721,8 +6659,7 @@ def pmi_bigrams(
             ("w2", "ascending")])
         return t.take(idx[:k])
 
-    if not force_distributed and (n_docs is not None
-                                  and n_docs <= broadcast_limit):
+    if R.route("pmi_bigrams", n_docs) == "driver":
         merged = _merge_partials(
             partials, ["kind", "w1", "w2"], [("cnt", "sum")],
             fallback_schema={"kind": pa.int8(), "w1": pa.string(),
@@ -6802,13 +6739,12 @@ def pmi_bigrams(
     return merged.take(idx[:k])
 
 
-def triangle_count(sf_dir: str, force_distributed: bool = False) -> pa.Table:
+def triangle_count(sf_dir: str) -> pa.Table:
     """Triangle count of the undirected host graph → (n_triangles);
     semantics and regimes in stages/graph.py."""
     if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
         return pa.table({"n_triangles": pa.array([0], pa.int64())})
-    return G.triangle_count(_weighted_host_edges(sf_dir),
-                            force_distributed=force_distributed)
+    return G.triangle_count(_weighted_host_edges(sf_dir))
 
 
 def pipeline_certificate(sf_dir: str) -> pa.Table:
@@ -7037,7 +6973,7 @@ def vocab_overlap(sf_dir: str) -> pa.Table:
     })
 
 
-def quality_tiers(sf_dir: str, driver_limit: int = 2_000_000) -> pa.Table:
+def quality_tiers(sf_dir: str) -> pa.Table:
     """CCNet-style per-language quality bucketing: rank each language's
     docs by quality score and cut into head/middle/tail thirds →
     (doc_id, lang, tier).  This is the calibration step web pipelines run
@@ -7054,7 +6990,8 @@ def quality_tiers(sf_dir: str, driver_limit: int = 2_000_000) -> pa.Table:
                       "lang": pa.array([], pa.string()),
                       "tier": pa.array([], pa.string())})
     path = f"{sf_dir}/documents.parquet"
-    if _footer_rows(path) == 0:
+    n_rows = _footer_rows(path)
+    if n_rows == 0:
         return empty
     ds = _docs_sized(sf_dir, columns=["doc_id", "text", "lang"],
                      rows_per_block=1024)
@@ -7074,8 +7011,7 @@ def quality_tiers(sf_dir: str, driver_limit: int = 2_000_000) -> pa.Table:
         return np.where(rk * 3 < n, "head",
                         np.where(rk * 3 < 2 * n, "middle", "tail"))
 
-    n_rows = _footer_rows(path)
-    if n_rows is not None and n_rows <= driver_limit:
+    if R.route("quality_tiers", n_rows) == "driver":
         tbl = pa.concat_tables(scored.iter_batches(batch_format="pyarrow"))
         lang = np.asarray(tbl.column("lang").combine_chunks())
         did = tbl.column("doc_id").to_numpy()
@@ -7179,7 +7115,6 @@ def edge_negatives(sf_dir: str, per_host: int = 4) -> pa.Table:
 def q5_local_supplier_volume(
     sf_dir: str, region: str = "ASIA",
     date_lo: str = "1996-01-01", date_hi: str = "1997-01-01",
-    broadcast_limit: int = 5_000_000, force_distributed: bool = False,
 ) -> pa.Table:
     """TPC-H Q5 shape: revenue per nation where the CUSTOMER and the
     SUPPLIER sit in the same nation of one region, for one order-date
@@ -7283,8 +7218,7 @@ def q5_local_supplier_volume(
                              pa.int64()),
         })
 
-    if not force_distributed and (n_ords is not None
-                                  and n_ords <= broadcast_limit):
+    if R.route("q5_local_supplier_volume", n_ords) == "driver":
         # broadcast path: date+region-filtered orders become two sorted
         # arrays; lineitem never shuffles
         ot = _collect(
@@ -7484,7 +7418,6 @@ def q6_forecast_revenue(
 
 def q4_priority_anomalies(
     sf_dir: str, date_lo: str = "1996-01-01", date_hi: str = "1997-01-01",
-    broadcast_limit: int = 200_000, force_distributed: bool = False,
 ) -> pa.Table:
     """TPC-H Q4 shape: per-priority count of orders in one order-date
     window for which EXISTS an anomalous lineitem (shipped BEFORE the
@@ -7496,10 +7429,10 @@ def q4_priority_anomalies(
       - orders: column-pruned read + window filter; the surviving
         (orderkey, orderdate, priority) side broadcasts sorted while its
         count (free metadata after the materialize) is ≤
-        ``broadcast_limit`` — lineitem then never shuffles: each block
+        the gate limit — lineitem then never shuffles: each block
         does one searchsorted membership + date compare and emits only
         its DISTINCT anomalous order keys;
-      - above the gate (or ``force_distributed``): lineitem pre-combines
+      - above the gate (or when forced): lineitem pre-combines
         to per-block (orderkey, min_shipdate) partials, ONE native
         groupby-Min collapses them, and ONE hash join against the
         filtered orders evaluates the EXISTS as ``min_ship < orderdate``
@@ -7545,7 +7478,7 @@ def q4_priority_anomalies(
             1, "n_orders", pc.cast(t.column("n_orders"), pa.int64())
         ).sort_by("o_orderpriority")
 
-    if not force_distributed and n_f <= broadcast_limit:
+    if R.route("q4_priority_anomalies", n_f) == "driver":
         tbl = _collect(fords).sort_by("o_orderkey")
         keys = tbl.column("o_orderkey").to_numpy()
         odate = tbl.column("od_us").to_numpy()
@@ -7608,7 +7541,6 @@ def q4_priority_anomalies(
 
 def q18_large_orders(
     sf_dir: str, qty_threshold: float = 150.0, k: int = 10,
-    broadcast_limit: int = 1_000_000, force_distributed: bool = False,
 ) -> pa.Table:
     """TPC-H Q18 shape: large-volume orders — the top-``k`` orders whose
     total lineitem quantity exceeds ``qty_threshold``, with their
@@ -7620,13 +7552,13 @@ def q18_large_orders(
         ONE native groupby-Sum collapses them, and the ``>`` filter
         drops all but the heavy tail (quantity sums are integral floats,
         exact under any combine order below 2^53);
-      - survivors broadcast sorted under ``broadcast_limit`` — orders
+      - survivors broadcast sorted under the gate limit — orders
         then never shuffles (vectorized membership filter per block),
         and the k-row head is cut BEFORE any customer access;
       - the customer fetch is a ≤k-key membership filter over the
         dimension (broadcast keys, pruned columns) — never a join of the
         full dimension;
-      - above the gate (or ``force_distributed``): survivors ⋈ orders as
+      - above the gate (or when forced): survivors ⋈ orders as
         a distributed hash join, per-block top-k partials, driver merge
         of blocks×k rows.  Tests pin both paths equal.
     """
@@ -7662,8 +7594,7 @@ def q18_large_orders(
         qty_partial, batch_format="pyarrow", zero_copy_batch=True)
     n_li = _footer_rows(f"{sf_dir}/lineitem.parquet")
     s_tbl = None
-    if not force_distributed and (n_li is not None
-                                  and n_li <= 4_000_000):
+    if R.route("q18_large_orders.lineitem", n_li) == "driver":
         # HAVING over driver-merged partials: the distributed Aggregate
         # costs ~10 ms/block of sort/combine regardless of block size
         # (the _merge_partials rule), and the partial table is ≤ one row
@@ -7680,7 +7611,8 @@ def q18_large_orders(
                                  pa.int64())})
         if s_tbl.num_rows == 0:
             return empty
-        if s_tbl.num_rows > broadcast_limit:
+        if R.route("q18_large_orders.survivors",
+                   s_tbl.num_rows) == "distributed":
             s_tbl = None  # too many survivors to broadcast: join path
     if s_tbl is None:
         survivors = partials.groupby("l_orderkey").aggregate(
@@ -7691,8 +7623,8 @@ def q18_large_orders(
             return empty
 
     sort_keys = [("price_c", "descending"), ("o_orderkey", "ascending")]
-    if s_tbl is not None or (not force_distributed
-                             and survivors.count() <= broadcast_limit):
+    if s_tbl is not None or R.route("q18_large_orders.survivors",
+                                    survivors.count()) == "driver":
         if s_tbl is None:
             s_tbl = _collect(survivors)
         s_tbl = s_tbl.sort_by("l_orderkey")
@@ -7802,7 +7734,8 @@ def user_rfm(sf_dir: str) -> pa.Table:
                       "frequency": pa.array([], pa.int64()),
                       "monetary_c": pa.array([], pa.int64()),
                       "recency_days": pa.array([], pa.int64())})
-    if _footer_rows(f"{sf_dir}/events.parquet") == 0:
+    n_ev = _footer_rows(f"{sf_dir}/events.parquet")
+    if n_ev == 0:
         return empty
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -7822,7 +7755,6 @@ def user_rfm(sf_dir: str) -> pa.Table:
                      columns=["user_id", "ts", "event_type", "value"])
     partials = ev.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    n_ev = _footer_rows(f"{sf_dir}/events.parquet")
     if n_ev is not None and n_ev <= 4_000_000:
         # the per-user RESULT is collected at the end regardless (the
         # return contract is a Table), so under the events footer gate
@@ -8027,8 +7959,7 @@ def search_topk(
     return merged.take(pc.sort_indices(merged, sort_keys=sort_keys)[:k])
 
 
-def hits_hosts(sf_dir: str, iterations: int = 3,
-               force_distributed: bool = False) -> pa.Table:
+def hits_hosts(sf_dir: str, iterations: int = 3) -> pa.Table:
     """Fixed-iteration integer HITS over the host graph →
     (host, authority_c, hub_c); semantics, normalization, overflow bound
     and regimes documented on ``stages/graph.hits``."""
@@ -8036,8 +7967,7 @@ def hits_hosts(sf_dir: str, iterations: int = 3,
         return pa.table({"host": pa.array([], pa.string()),
                          "authority_c": pa.array([], pa.int64()),
                          "hub_c": pa.array([], pa.int64())})
-    return G.hits(_weighted_host_edges(sf_dir), iterations=iterations,
-                  force_distributed=force_distributed)
+    return G.hits(_weighted_host_edges(sf_dir), iterations=iterations)
 
 
 def knn_label_vote(
@@ -8287,9 +8217,7 @@ def dedup_rate_by_source(sf_dir: str) -> pa.Table:
         "n_distinct": dmerged.column("n")})
 
 
-def event_transitions(
-    sf_dir: str, driver_limit: int = 1_000_000
-) -> pa.Table:
+def event_transitions(sf_dir: str) -> pa.Table:
     """Markov transition matrix over the event stream: per user, order
     events by (ts, event_id) and count consecutive (prev_type → next_type)
     pairs globally → (prev_type, next_type, n) ordered by the pair.  The
@@ -8300,7 +8228,7 @@ def event_transitions(
     shuffle key is user_id — per group a vectorized lexsort + one
     adjacent-shift comparison emits a ≤types²-row partial, and ONE native
     groupby-Sum combines them (type vocabulary is tiny, the combine is
-    cheap).  Under ``driver_limit`` the whole stream fits one driver
+    cheap).  Under the gate limit the whole stream fits one driver
     lexsort pass with run-boundary slicing (events_sessions' documented
     fixed-cost trade; the distributed sibling is pinned equal in tests).
     """
@@ -8310,7 +8238,8 @@ def event_transitions(
                       "next_type": pa.array([], pa.string()),
                       "n": pa.array([], pa.int64())})
     path = f"{sf_dir}/events.parquet"
-    if _footer_rows(path) == 0:
+    n_rows = _footer_rows(path)
+    if n_rows == 0:
         return empty
     cols = ["user_id", "ts", "event_id", "event_type"]
 
@@ -8332,8 +8261,7 @@ def event_transitions(
             "next_type": pa.array(uniq[vals % len(uniq)], pa.string()),
             "n": pa.array(cnt, pa.int64())})
 
-    n_rows = _footer_rows(path)
-    if n_rows is not None and n_rows <= driver_limit:
+    if R.route("event_transitions", n_rows) == "driver":
         tbl = _collect(_read_sized(path, columns=cols))
         out = pair_counts(
             tbl.column("user_id").to_numpy(),
@@ -8383,9 +8311,7 @@ def _bigram_count_partial(batch: pa.Table) -> pa.Table:
     )
 
 
-def bigram_typicality(
-    sf_dir: str, broadcast_limit: int = 2_000_000
-) -> pa.Table:
+def bigram_typicality(sf_dir: str) -> pa.Table:
     """Bigram-LM corpus-fit signal: per doc, the summed CORPUS frequency
     of its adjacent word bigrams plus its singleton-bigram count — the
     integer-exact numerator statistics of a bigram language-model score
@@ -8405,8 +8331,7 @@ def bigram_typicality(
 
     partials = ds.map_batches(_bigram_count_partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    n_rows = _footer_rows(path)
-    if n_rows is not None and n_rows <= broadcast_limit:
+    if R.route("bigram_typicality", _footer_rows(path)) == "driver":
         vocab = _collect(partials, fallback_schema={
             "bg": pa.string(), "n": pa.int64()}
         ).group_by(["bg"]).aggregate([("n", "sum")])
@@ -8459,9 +8384,7 @@ def bigram_typicality(
     ).sort_by("doc_id")
 
 
-def source_diversity(
-    sf_dir: str, driver_limit: int = 2_000_000
-) -> pa.Table:
+def source_diversity(sf_dir: str) -> pa.Table:
     """Per-source lexical-diversity statistic: total vs DISTINCT word
     trigram occurrences → (source, n_trigrams, n_distinct) ordered by
     source — the distinct-n diversity measure (a high distinct/total
@@ -8472,7 +8395,7 @@ def source_diversity(
     count partials (driver-merged: source cardinality is small), distinct
     via ONE native two-key groupby whose input was already deduped within
     each block, so the exchange carries at most the distinct-trigram set,
-    never corpus text.  Under ``driver_limit`` footer rows the distinct
+    never corpus text.  Under the gate limit footer rows the distinct
     union folds on the driver instead (np.unique per source over the
     block-distinct keys — Ray's hash shuffle costs ~7 s of fixed overhead
     at ANY size, measured on 248k rows; the fallback test pins the paths
@@ -8484,7 +8407,8 @@ def source_diversity(
                       "n_trigrams": pa.array([], pa.int64()),
                       "n_distinct": pa.array([], pa.int64())})
     path = f"{sf_dir}/documents.parquet"
-    if _footer_rows(path) == 0:
+    n_rows = _footer_rows(path)
+    if n_rows == 0:
         return empty
     ds = _read_sized(path, columns=["source", "text"], rows_per_block=1024)
 
@@ -8551,8 +8475,7 @@ def source_diversity(
                          "tg": pa.int64(), "kind": pa.int8()})
     if totals.num_rows == 0:
         return empty
-    n_rows = _footer_rows(path)
-    if n_rows is not None and n_rows <= driver_limit:
+    if R.route("source_diversity", n_rows) == "driver":
         pairs = _collect(tagged.filter(expr="kind == 1"))
         src = np.asarray(pairs.column("source").to_pylist(), dtype=object)
         tg = pairs.column("tg").to_numpy()
@@ -8694,7 +8617,6 @@ def orders_monthly(sf_dir: str) -> pa.Table:
 
 def q13_order_distribution(
     sf_dir: str, exclude_priority: str = "1-URGENT",
-    broadcast_limit: int = 5_000_000, force_distributed: bool = False,
 ) -> pa.Table:
     """TPC-H Q13 shape: the customer order-count DISTRIBUTION — how many
     customers placed exactly ``c_count`` orders (excluding one priority
@@ -8707,7 +8629,7 @@ def q13_order_distribution(
         native groupby-Sum collapses them to ≤|customer| rows;
       - validity: counted custkeys are membership-filtered against the
         customer dimension (broadcast sorted keys under the gate, a
-        distributed hash join above it / under ``force_distributed``;
+        distributed hash join above it / when forced;
         tests pin both equal);
       - the histogram re-groups the per-customer counts by c_count —
         bounded cardinality (max orders per customer), so the final merge
@@ -8751,7 +8673,7 @@ def q13_order_distribution(
     partials = orders.map_batches(
         count_partial, batch_format="pyarrow", zero_copy_batch=True)
 
-    if not force_distributed and n_cust <= broadcast_limit:
+    if R.route("q13_order_distribution", n_cust) == "driver":
         # custkey cardinality ≤ the customer catalog: driver-merge the
         # per-block count partials and fold the histogram in numpy —
         # the distributed Aggregate's ~10 ms/block sort/combine cost
@@ -8798,8 +8720,7 @@ def q13_order_distribution(
 
 def q10_returned_revenue(
     sf_dir: str, date_from: str = "1996-07-01", date_to: str = "1997-01-01",
-    k: int = 20, broadcast_limit: int = 5_000_000,
-    force_distributed: bool = False,
+    k: int = 20,
 ) -> pa.Table:
     """TPC-H Q10 shape: top-``k`` customers by revenue LOST to returned
     items in one order-date band → (c_custkey, c_name, c_nationkey,
@@ -8865,7 +8786,7 @@ def q10_returned_revenue(
     partials = li.map_batches(rev_partial, batch_format="pyarrow",
                               zero_copy_batch=True)
 
-    if not force_distributed and banded.count() <= broadcast_limit:
+    if R.route("q10_returned_revenue.orders", banded.count()) == "driver":
         b_tbl = _collect(banded).sort_by("o_orderkey")
         okeys = b_tbl.column("o_orderkey").to_numpy()
         ocust = b_tbl.column("o_custkey").to_numpy()
@@ -8896,8 +8817,7 @@ def q10_returned_revenue(
 
     sort_keys = [("rev_c4", "descending"), ("o_custkey", "ascending")]
     n_cust = _footer_rows(f"{sf_dir}/customer.parquet")
-    if not force_distributed and (n_cust is not None
-                                  and n_cust <= broadcast_limit):
+    if R.route("q10_returned_revenue.customers", n_cust) == "driver":
         # custkey cardinality is bounded by the customer catalog — under
         # the gate the (custkey, rev) partials driver-merge (the ~10 ms/
         # block distributed Aggregate cost dominates this query at bench
@@ -8961,9 +8881,7 @@ def q10_returned_revenue(
         "revenue_c4": head.column("rev_c4")})
 
 
-def events_dau_wau(
-    sf_dir: str, driver_limit: int = 2_000_000
-) -> pa.Table:
+def events_dau_wau(sf_dir: str) -> pa.Table:
     """Daily / weekly active users: per active day, the distinct-user count
     that day (DAU) and over the trailing 7-day window (WAU) → (day, dau,
     wau) ordered by day — the engagement rollup every product dashboard
@@ -8976,7 +8894,7 @@ def events_dau_wau(
     partial merge, and WAU expands each distinct pair to the ≤7 trailing
     active days it supports (vectorized searchsorted against the
     broadcast sorted day array) before a second pair-dedup + bounded
-    merge.  Under ``driver_limit`` footer rows the pair dedups fold on
+    merge.  Under the gate limit footer rows the pair dedups fold on
     the driver instead (the measured ~7 s fixed hash-shuffle cost;
     fallback test pins the paths equal)."""
     from ray.data.aggregate import Count
@@ -8985,7 +8903,8 @@ def events_dau_wau(
                       "dau": pa.array([], pa.int64()),
                       "wau": pa.array([], pa.int64())})
     path = f"{sf_dir}/events.parquet"
-    if _footer_rows(path) == 0:
+    n_rows = _footer_rows(path)
+    if n_rows == 0:
         return empty
     day_us = 86_400_000_000
     ds = _read_sized(path, columns=["user_id", "ts"])
@@ -9015,8 +8934,7 @@ def events_dau_wau(
             keep[1:] = (u[1:] != u[:-1]) | (d[1:] != d[:-1])
         return u[keep], d[keep]
 
-    n_rows = _footer_rows(path)
-    gated = n_rows is not None and n_rows <= driver_limit
+    gated = R.route("events_dau_wau", n_rows) == "driver"
     if gated:
         uid, day = _dedup_driver(_collect(blocks, fallback_schema={
             "user_id": pa.int64(), "day": pa.int64()}))
@@ -9257,8 +9175,6 @@ def cross_source_contamination(sf_dir: str) -> pa.Table:
 
 def q16_part_suppliers(
     sf_dir: str, exclude_type: str = "PROMO", k: int = 20,
-    driver_limit: int = 2_000_000, broadcast_limit: int = 5_000_000,
-    force_distributed: bool = False,
 ) -> pa.Table:
     """TPC-H Q16 shape: distinct supplier counts per part (brand, type)
     class — supplier-part relationships derived from lineitem (this
@@ -9267,9 +9183,9 @@ def q16_part_suppliers(
 
     Scale shape: lineitem collapses to DISTINCT (partkey, suppkey) pairs
     FIRST (per-block dedup, then a driver lexsort fold under
-    ``driver_limit`` footer rows / a two-key groupby above it); the part
+    the gate limit footer rows / a two-key groupby above it); the part
     dimension broadcasts its (partkey → brand, type) map under
-    ``broadcast_limit`` (hash join fallback pinned equal); the final
+    the gate limit (hash join fallback pinned equal); the final
     distinct-(brand, type, supplier) count re-deduplicates after the
     re-key — bounded by the pair set, never the fact table."""
     from ray.data.aggregate import Count
@@ -9311,8 +9227,7 @@ def q16_part_suppliers(
     blocks = li.map_batches(pair_partial, batch_format="pyarrow",
                             zero_copy_batch=True)
     n_rows = _footer_rows(f"{sf_dir}/lineitem.parquet")
-    gated = (not force_distributed and n_rows is not None
-             and n_rows <= driver_limit)
+    gated = R.route("q16_part_suppliers.pairs", n_rows) == "driver"
     if gated:
         t = _collect(blocks, fallback_schema={"l_partkey": pa.int64(),
                                               "l_suppkey": pa.int64()})
@@ -9326,7 +9241,7 @@ def q16_part_suppliers(
         pairs = pa.table({"l_partkey": pa.array(p[keep], pa.int64()),
                           "l_suppkey": pa.array(s[keep], pa.int64())})
         n_parts = _footer_rows(f"{sf_dir}/part.parquet")
-        if n_parts is not None and n_parts <= broadcast_limit:
+        if R.route("q16_part_suppliers.part", n_parts) == "driver":
             # both sides fit the driver budgets: finish WITHOUT any
             # further Ray hops (the from_arrow → rekey → collect round
             # trip cost ~1.5 s of q16's 1.7 s at sf0.1)
@@ -9361,9 +9276,7 @@ def q16_part_suppliers(
 
     part = _read_sized(f"{sf_dir}/part.parquet",
                        columns=["p_partkey", "p_brand", "p_type"])
-    p_small = (not force_distributed
-               and part.count() <= broadcast_limit)
-    if p_small:
+    if R.route("q16_part_suppliers.part", part.count()) == "driver":
         pt = _collect(part).sort_by("p_partkey")
         pt = pt.filter(pc.not_equal(pt.column("p_type"), exclude_type))
         pkeys = pt.column("p_partkey").to_numpy()
@@ -9446,7 +9359,6 @@ _Q7_SCHEMA = {"snk": pa.int64(), "cnk": pa.int64(),
 def q7_nation_volume(
     sf_dir: str, nation_a: str = "NATION_1", nation_b: str = "NATION_2",
     date_lo: str = "1996-01-01", date_hi: str = "1998-01-01",
-    broadcast_limit: int = 5_000_000, force_distributed: bool = False,
 ) -> pa.Table:
     """TPC-H Q7 shape: shipping volume BETWEEN two nations — revenue per
     (supplier nation, customer nation, ship year) where one end is
@@ -9553,8 +9465,7 @@ def q7_nation_volume(
                        columns=["o_orderkey", "o_custkey"])
     n_ords = _footer_rows(f"{sf_dir}/orders.parquet")
 
-    if not force_distributed and (n_ords is not None
-                                  and n_ords <= broadcast_limit):
+    if R.route("q7_nation_volume", n_ords) == "driver":
         ot = _collect(
             ords.map_batches(order_filter, batch_format="pyarrow",
                              zero_copy_batch=True),
@@ -9647,7 +9558,6 @@ def _q7_finish(partial, key_to_name: dict) -> pa.Table:
 
 def q15_top_supplier(
     sf_dir: str, date_lo: str = "1996-01-01", date_hi: str = "1996-04-01",
-    driver_limit: int = 2_000_000, force_distributed: bool = False,
 ) -> pa.Table:
     """TPC-H Q15 shape: the top supplier(s) — per-supplier revenue over a
     three-month ship-date window, then EVERY supplier tied at the maximum
@@ -9656,7 +9566,7 @@ def q15_top_supplier(
 
     Scale shape: lineitem pre-combines per-block (suppkey → revenue)
     partials so the shuffle side is bounded by the supplier cardinality,
-    never the fact table.  Under ``driver_limit`` supplier footer rows
+    never the fact table.  Under the gate limit supplier footer rows
     the partials driver-merge (supplier is a catalog dim); above it (or
     forced) a native groupby-sum collapses them and only per-block maxima
     plus the tied winners ever reach the driver.  Winner names come from
@@ -9668,8 +9578,8 @@ def q15_top_supplier(
     empty = pa.table({"s_suppkey": pa.array([], pa.int64()),
                       "s_name": pa.array([], pa.string()),
                       "total_revenue_c4": pa.array([], pa.int64())})
-    if (_footer_rows(f"{sf_dir}/lineitem.parquet") == 0
-            or _footer_rows(f"{sf_dir}/supplier.parquet") == 0):
+    n_sup = _footer_rows(f"{sf_dir}/supplier.parquet")
+    if _footer_rows(f"{sf_dir}/lineitem.parquet") == 0 or n_sup == 0:
         return empty
 
     def rev_partial(batch: pa.Table) -> pa.Table:
@@ -9695,10 +9605,8 @@ def q15_top_supplier(
                  "l_discount"], rows_per_block=8192)
     partials = li.map_batches(rev_partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    n_sup = _footer_rows(f"{sf_dir}/supplier.parquet")
     fb = {"l_suppkey": pa.int64(), "total_revenue_c4": pa.int64()}
-    if not force_distributed and (n_sup is not None
-                                  and n_sup <= driver_limit):
+    if R.route("q15_top_supplier", n_sup) == "driver":
         per_sup = _merge_partials(partials, ["l_suppkey"],
                                   [("total_revenue_c4", "sum")],
                                   fallback_schema=fb)
@@ -9902,10 +9810,7 @@ def q19_disjunctive_revenue(
             pa.int64())})
 
 
-def q22_sales_opportunity(
-    sf_dir: str, since: str = "2000-01-01",
-    broadcast_limit: int = 5_000_000, force_distributed: bool = False,
-) -> pa.Table:
+def q22_sales_opportunity(sf_dir: str, since: str = "2000-01-01") -> pa.Table:
     """TPC-H Q22 shape: the global-sales-opportunity anti-join — customers
     whose account balance beats the average POSITIVE balance and who have
     placed no order since ``since`` (dormant high-value accounts; the
@@ -9964,8 +9869,7 @@ def q22_sales_opportunity(
         return b.filter(m).select(["o_custkey"])
 
     n_ords = _footer_rows(f"{sf_dir}/orders.parquet")
-    if not force_distributed and (n_ords is not None
-                                  and n_ords <= broadcast_limit):
+    if R.route("q22_sales_opportunity", n_ords) == "driver":
         ords = _read_sized(
             f"{sf_dir}/orders.parquet",
             columns=["o_custkey", "o_orderdate"], rows_per_block=8192,
@@ -10041,8 +9945,7 @@ _Q8_SCHEMA = {"o_year": pa.int64(), "nation_rev_c4": pa.int64(),
 def q8_market_share(
     sf_dir: str, region: str = "ASIA", p_type: str = "PROMO",
     nation: str = "NATION_2", date_lo: str = "1996-01-01",
-    date_hi: str = "1998-01-01", broadcast_limit: int = 5_000_000,
-    force_distributed: bool = False,
+    date_hi: str = "1998-01-01",
 ) -> pa.Table:
     """TPC-H Q8 shape: national market share — of all revenue from
     ``p_type`` parts ordered by customers of ``region`` in a two-year
@@ -10162,8 +10065,7 @@ def q8_market_share(
                        columns=["o_orderkey", "o_custkey", "o_orderdate"])
     n_ords = _footer_rows(f"{sf_dir}/orders.parquet")
 
-    if not force_distributed and (n_ords is not None
-                                  and n_ords <= broadcast_limit):
+    if R.route("q8_market_share", n_ords) == "driver":
         ot = _collect(
             ords.map_batches(order_filter, batch_format="pyarrow",
                              zero_copy_batch=True),
@@ -10226,10 +10128,7 @@ _Q9_SCHEMA = {"nk": pa.int64(), "o_year": pa.int64(),
               "profit_c4": pa.int64()}
 
 
-def q9_product_profit(
-    sf_dir: str, name_like: str = "red",
-    broadcast_limit: int = 5_000_000, force_distributed: bool = False,
-) -> pa.Table:
+def q9_product_profit(sf_dir: str, name_like: str = "red") -> pa.Table:
     """TPC-H Q9 shape: product-type profit by nation and order year for
     parts whose name contains ``name_like`` → (nation, o_year,
     profit_c4) ordered by nation asc, year desc.  This schema carries no
@@ -10338,8 +10237,7 @@ def q9_product_profit(
                                      zero_copy_batch=True)
     n_ords = _footer_rows(f"{sf_dir}/orders.parquet")
 
-    if not force_distributed and (n_ords is not None
-                                  and n_ords <= broadcast_limit):
+    if R.route("q9_product_profit", n_ords) == "driver":
         ot = _collect(ords, fallback_schema={"o_orderkey": pa.int64(),
                                              "o_year": pa.int64()})
         if ot.num_rows == 0:
@@ -10390,8 +10288,7 @@ def q9_product_profit(
 
 def q11_important_parts(
     sf_dir: str, nation: str = "NATION_1", frac_num: int = 1,
-    frac_den: int = 1000, driver_limit: int = 2_000_000,
-    force_distributed: bool = False,
+    frac_den: int = 1000,
 ) -> pa.Table:
     """TPC-H Q11 shape: important stock — parts whose shipped value from
     ``nation``'s suppliers exceeds ``frac_num/frac_den`` of that
@@ -10449,8 +10346,7 @@ def q11_important_parts(
         li_partial, batch_format="pyarrow", zero_copy_batch=True)
 
     n_parts = _footer_rows(f"{sf_dir}/part.parquet")
-    if not force_distributed and (n_parts is not None
-                                  and n_parts <= driver_limit):
+    if R.route("q11_important_parts", n_parts) == "driver":
         merged = _merge_partials(
             partial, ["l_partkey"], [("value_c4", "sum")],
             fallback_schema={"l_partkey": pa.int64(),
@@ -10490,10 +10386,7 @@ _Q12_SCHEMA = {"l_linestatus": pa.string(), "high_line_count": pa.int64(),
 _HIGH_PRIORITIES = ("1-URGENT", "2-HIGH")
 
 
-def q12_late_shipment_priority(
-    sf_dir: str, late_days: int = 60,
-    broadcast_limit: int = 5_000_000, force_distributed: bool = False,
-) -> pa.Table:
+def q12_late_shipment_priority(sf_dir: str, late_days: int = 60) -> pa.Table:
     """TPC-H Q12 shape: shipping-delay priority accounting — lines
     shipped more than ``late_days`` after their order date, counted per
     line status split into high-priority (1-URGENT / 2-HIGH) vs other
@@ -10545,8 +10438,7 @@ def q12_late_shipment_priority(
                                      zero_copy_batch=True)
     n_ords = _footer_rows(f"{sf_dir}/orders.parquet")
 
-    if not force_distributed and (n_ords is not None
-                                  and n_ords <= broadcast_limit):
+    if R.route("q12_late_shipment_priority", n_ords) == "driver":
         ot = _collect(ords, fallback_schema={
             "o_orderkey": pa.int64(), "od_us": pa.int64(),
             "is_high": pa.bool_()})
@@ -10622,8 +10514,6 @@ def _q21_driver_tail(ok: np.ndarray, sk: np.ndarray,
 
 def q21_waiting_suppliers(
     sf_dir: str, status: str = "F", k: int = 10,
-    broadcast_limit: int = 5_000_000, pair_driver_limit: int = 4_000_000,
-    force_distributed: bool = False,
 ) -> pa.Table:
     """TPC-H Q21 shape — see ``_q21_impl``.  This wrapper pins the
     session's shuffle strategy to HASH_SHUFFLE for the datasets the
@@ -10631,14 +10521,10 @@ def q21_waiting_suppliers(
     sort-based strategy rejects key repartitioning) and restores the
     previous strategy on exit."""
     with _pinned_hash_shuffle():
-        return _q21_impl(sf_dir, status, k, broadcast_limit,
-                         pair_driver_limit, force_distributed)
+        return _q21_impl(sf_dir, status, k)
 
 
-def _q21_impl(
-    sf_dir: str, status: str, k: int, broadcast_limit: int,
-    pair_driver_limit: int, force_distributed: bool,
-) -> pa.Table:
+def _q21_impl(sf_dir: str, status: str, k: int) -> pa.Table:
     """TPC-H Q21 shape: suppliers who kept orders waiting — for each
     ``status`` order with ≥2 distinct suppliers, the supplier whose
     lines hold the STRICTLY latest ship date (unique at the order max)
@@ -10651,7 +10537,7 @@ def _q21_impl(
     Scale shape: the status-filtered order keys broadcast under the
     orders footer gate (hash semi-join above it); ONE lineitem pass
     folds per-block (orderkey, suppkey) → max-shipdate partials.  Under
-    ``pair_driver_limit`` lineitem rows the pair table collects and a
+    the gate limit lineitem rows the pair table collects and a
     lexsort + reduceat driver tail decides winners; above it ONE hash
     repartition by l_orderkey co-locates each order and the identical
     vectorized tail runs per block, folding straight into bounded
@@ -10707,7 +10593,7 @@ def _q21_impl(
             [("msd", "max")]).rename_columns(
             ["l_orderkey", "l_suppkey", "msd"])
 
-    if n_ords is not None and n_ords <= broadcast_limit:
+    if R.route("q21_waiting_suppliers.orders", n_ords) == "driver":
         fk = np.sort(np.concatenate(
             [b.column("o_orderkey").to_numpy()
              for b in fkeys_ds.iter_batches(batch_format="pyarrow")]
@@ -10738,8 +10624,7 @@ def _q21_impl(
                                    zero_copy_batch=True)
 
     n_li = _footer_rows(f"{sf_dir}/lineitem.parquet")
-    if not force_distributed and (n_li is not None
-                                  and n_li <= pair_driver_limit):
+    if R.route("q21_waiting_suppliers.pairs", n_li) == "driver":
         # distinct (order, supplier) pairs ≤ lineitem rows, and the
         # driver tail is ONE lexsort over int64 triples — cheap into
         # the millions, and ~40x faster than pushing a single collected
@@ -10804,10 +10689,7 @@ def _sent_keys(sents: list[str]) -> np.ndarray:
                         signed=True) for s in sents], np.int64)
 
 
-def sentence_dedup(
-    sf_dir: str, sent_words: int = 3, broadcast_limit: int = 2_000_000,
-    force_distributed: bool = False,
-) -> pa.Table:
+def sentence_dedup(sf_dir: str, sent_words: int = 3) -> pa.Table:
     """Global sentence-level exact dedup (the MassiveText / CCNet
     repeated-passage filter): every distinct sentence survives only at
     its FIRST corpus occurrence — min (doc_id, idx) — and each document
@@ -10862,8 +10744,7 @@ def sentence_dedup(
             cols["sent"] = pa.array(out_s, pa.string())
         return pa.table(cols)
 
-    if not force_distributed and (n_docs is not None
-                                  and n_docs <= broadcast_limit):
+    if R.route("sentence_dedup", n_docs) == "driver":
         occ = _collect(
             docs.map_batches(lambda b: occurrences(b, False),
                              batch_format="pyarrow", zero_copy_batch=True),
@@ -10976,8 +10857,7 @@ def sentence_dedup(
 
 def q2_min_acctbal_supplier(
     sf_dir: str, region: str = "ASIA", size_lo: int = 10,
-    size_hi: int = 25, k: int = 100, pair_driver_limit: int = 4_000_000,
-    force_distributed: bool = False,
+    size_hi: int = 25, k: int = 100,
 ) -> pa.Table:
     """TPC-H Q2 shape: the minimum-cost supplier per part — for parts in
     a size band, among ``region``'s suppliers with lineitem evidence of
@@ -10990,7 +10870,7 @@ def q2_min_acctbal_supplier(
     Scale shape: part (size-band keys) and supplier (key → balance,
     nation, in-region flag) broadcast sorted; ONE lineitem pass folds
     per-block DISTINCT (partkey, suppkey) pairs (q16's collapse — the
-    shuffle never carries repeats).  Under ``pair_driver_limit``
+    shuffle never carries repeats).  Under the gate limit
     lineitem rows the pair set driver-merges and a lexsort/reduceat
     tail picks per-part minima; above it (or forced) the pairs ride a
     native two-key groupby, per-part minima come from a second
@@ -11079,8 +10959,7 @@ def q2_min_acctbal_supplier(
         return out.slice(0, k)
 
     n_li = _footer_rows(f"{sf_dir}/lineitem.parquet")
-    if not force_distributed and (n_li is not None
-                                  and n_li <= pair_driver_limit):
+    if R.route("q2_min_acctbal_supplier", n_li) == "driver":
         pt = _collect(pairs, fallback_schema=pair_fb)
         pt = pt.group_by(["l_partkey", "l_suppkey"]).aggregate([])
         return finish(pt.column("l_partkey").to_numpy(),
@@ -11124,7 +11003,6 @@ def q2_min_acctbal_supplier(
 def q20_dominant_suppliers(
     sf_dir: str, name_like: str = "red", date_lo: str = "1996-01-01",
     date_hi: str = "1997-01-01", nation: str | None = None,
-    pair_driver_limit: int = 4_000_000, force_distributed: bool = False,
 ) -> pa.Table:
     """TPC-H Q20 shape: suppliers sitting on a dominant share — shipped
     MORE THAN HALF of some matching part's total shipped quantity in
@@ -11136,7 +11014,7 @@ def q20_dominant_suppliers(
 
     Scale shape: name-filtered part keys broadcast; ONE lineitem pass
     folds per-block (partkey, suppkey) → quantity partials.  Under
-    ``pair_driver_limit`` lineitem rows the partials driver-merge and a
+    the gate limit lineitem rows the partials driver-merge and a
     lexsort/reduceat tail computes part totals + the dominance mask;
     above it (or forced) a native two-key groupby-Sum builds the pair
     table and the bounded (part → total) map broadcasts for the
@@ -11208,8 +11086,7 @@ def q20_dominant_suppliers(
         return pa.table({"s_name": pa.array(names, pa.string())})
 
     n_li = _footer_rows(f"{sf_dir}/lineitem.parquet")
-    if not force_distributed and (n_li is not None
-                                  and n_li <= pair_driver_limit):
+    if R.route("q20_dominant_suppliers", n_li) == "driver":
         pt = _merge_partials(pairs, ["l_partkey", "l_suppkey"],
                              [("q_c", "sum")], fallback_schema=pair_fb)
         return finish(pt.column("l_partkey").to_numpy(),
@@ -11347,9 +11224,7 @@ def token_budget_epochs(
         "alloc_tokens", pa.array(alloc, pa.int64())).sort_by("source")
 
 
-def attribution_linear(
-    sf_dir: str, driver_limit: int = 1_000_000
-) -> pa.Table:
+def attribution_linear(sf_dir: str) -> pa.Table:
     """Linear multi-touch attribution — the equal-credit sibling of
     ``attribution_last_touch``: for every ``purchase``, COUNT the same
     user's clicks at-or-before it and split one unit of credit equally
@@ -11370,7 +11245,8 @@ def attribution_linear(
                       "n_touches": pa.array([], pa.int64()),
                       "credit_each_ppm": pa.array([], pa.int64()),
                       "credit_last_ppm": pa.array([], pa.int64())})
-    if _footer_rows(path) == 0:
+    n_rows = _footer_rows(path)
+    if n_rows == 0:
         return empty
 
     def per_user(uid, ts, eid, is_click):
@@ -11388,8 +11264,7 @@ def attribution_linear(
             "credit_last_ppm": pa.array(last, pa.int64())})
 
     cols = ["event_id", "user_id", "event_type", "ts"]
-    n_rows = _footer_rows(path)
-    if n_rows is not None and n_rows <= driver_limit:
+    if R.route("attribution_linear", n_rows) == "driver":
         tbl = pa.concat_tables(
             _read_sized(path, columns=cols).iter_batches(
                 batch_format="pyarrow"))
@@ -11573,9 +11448,7 @@ def char_entropy(sf_dir: str) -> pa.Table:
     ).sort_by("doc_id")
 
 
-def inter_event_gaps(
-    sf_dir: str, driver_limit: int = 1_000_000, force_distributed: bool = False
-) -> pa.Table:
+def inter_event_gaps(sf_dir: str) -> pa.Table:
     """Per event type: count / sum / max of the time gaps between
     CONSECUTIVE events of the same user and type — the cadence statistics
     behind rate limiting, bot detection and session design, kept in exact
@@ -11618,8 +11491,7 @@ def inter_event_gaps(
              "max_gap_us": pa.array(m_g[present], pa.int64())}
         )
 
-    if (not force_distributed and n_rows is not None
-            and n_rows <= driver_limit):
+    if R.route("inter_event_gaps", n_rows) == "driver":
         tbl = pa.concat_tables(_read_sized(
             path, columns=["user_id", "event_type", "ts"]
         ).iter_batches(batch_format="pyarrow"))
@@ -11743,10 +11615,7 @@ def _cdc_chunks(text: str, w: int = 8, div: int = 32) -> list[str]:
     return [text[a:c] for a, c in zip(cuts, cuts[1:])]
 
 
-def cdc_chunk_stats(
-    sf_dir: str, w: int = 8, div: int = 32,
-    broadcast_limit: int = 2_000_000, force_distributed: bool = False,
-) -> pa.Table:
+def cdc_chunk_stats(sf_dir: str, w: int = 8, div: int = 32) -> pa.Table:
     """Content-defined-chunking dedup audit: per document, how many of its
     CDC chunks (and how many codepoints) already occurred earlier in the
     corpus — first occurrence in (doc_id, chunk_idx) order wins, every
@@ -11806,8 +11675,7 @@ def cdc_chunk_stats(
 
     occ_ds = docs.map_batches(occurrences, batch_format="pyarrow",
                               zero_copy_batch=True)
-    if not force_distributed and (n_docs is not None
-                                  and n_docs <= broadcast_limit):
+    if R.route("cdc_chunk_stats", n_docs) == "driver":
         occ = _collect(occ_ds, fallback_schema={
             "ckey": pa.int64(), "doc_id": pa.int64(), "idx": pa.int64(),
             "cp": pa.int64()})
@@ -12039,10 +11907,7 @@ def event_rate_trends(sf_dir: str) -> pa.Table:
                      "intercept_ppm": pa.array(intercepts, pa.int64())})
 
 
-def systematic_sample(
-    sf_dir: str, n_target: int = 64, driver_limit: int = 2_000_000,
-    force_distributed: bool = False,
-) -> pa.Table:
+def systematic_sample(sf_dir: str, n_target: int = 64) -> pa.Table:
     """Weighted SYSTEMATIC sampling (probability ∝ size, deterministic):
     walk the doc_id-ordered corpus accumulating ``n_chars`` and keep every
     doc whose cumulative interval ``(cum − w, cum]`` contains a multiple
@@ -12061,13 +11926,10 @@ def systematic_sample(
     The text never moves and nothing global is ever sorted.  Under the
     footer gate the whole thing is one driver cumsum instead."""
     with _pinned_hash_shuffle():
-        return _systematic_sample_impl(
-            sf_dir, n_target, driver_limit, force_distributed)
+        return _systematic_sample_impl(sf_dir, n_target)
 
 
-def _systematic_sample_impl(
-    sf_dir: str, n_target: int, driver_limit: int, force_distributed: bool,
-) -> pa.Table:
+def _systematic_sample_impl(sf_dir: str, n_target: int) -> pa.Table:
     empty = pa.table({"doc_id": pa.array([], pa.int64()),
                       "n_chars": pa.array([], pa.int64()),
                       "cum_chars": pa.array([], pa.int64())})
@@ -12088,8 +11950,7 @@ def _systematic_sample_impl(
                          "n_chars": pa.array(w[keep], pa.int64()),
                          "cum_chars": pa.array(cum[keep], pa.int64())})
 
-    if not force_distributed and (n_docs is not None
-                                  and n_docs <= driver_limit):
+    if R.route("systematic_sample", n_docs) == "driver":
         t = _collect(thin, fallback_schema={"doc_id": pa.int64(),
                                             "n_chars": pa.int64()})
         if t.num_rows == 0:
@@ -12249,9 +12110,7 @@ def jsonl_roundtrip(sf_dir: str) -> pa.Table:
     return _format_roundtrip(sf_dir, "jsonl")
 
 
-def clustering_coefficients(
-    sf_dir: str, force_distributed: bool = False,
-) -> pa.Table:
+def clustering_coefficients(sf_dir: str) -> pa.Table:
     """Per-host local clustering coefficient (degree, triangle membership,
     cc in exact integer ppm); semantics and regimes in stages/graph.py."""
     if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
@@ -12259,8 +12118,7 @@ def clustering_coefficients(
                          "degree": pa.array([], pa.int64()),
                          "n_triangles": pa.array([], pa.int64()),
                          "cc_ppm": pa.array([], pa.int64())})
-    return G.clustering_coefficients(_weighted_host_edges(sf_dir),
-                                     force_distributed=force_distributed)
+    return G.clustering_coefficients(_weighted_host_edges(sf_dir))
 
 
 def k_anonymity_audit(sf_dir: str, k: int = 5, bucket: int = 256) -> pa.Table:
@@ -13029,9 +12887,7 @@ def minhash_cluster_sizes(sf_dir: str, threshold: float = 0.5) -> pa.Table:
                      "n_clusters": pa.array(rows_n, pa.int64())})
 
 
-def event_trigrams(
-    sf_dir: str, top_k: int = 25, driver_limit: int = 1_000_000,
-) -> pa.Table:
+def event_trigrams(sf_dir: str, top_k: int = 25) -> pa.Table:
     """Top behavioral PATHS of length 3: per user, order events by
     (ts, event_id) and count consecutive (t1 → t2 → t3) type triples
     globally → the top ``top_k`` by (-n, t1, t2, t3) — the path-mining
@@ -13041,10 +12897,9 @@ def event_trigrams(
     Scale shape mirrors event_transitions: ordering is only needed within
     one user, so the shuffle key is user_id; per group a vectorized
     lexsort + two adjacent shifts emit ≤types³-row partials and ONE
-    native groupby-Sum combines them.  Under ``driver_limit`` the whole
-    stream is one driver lexsort (pinned equal by the meta-pin via
-    driver_limit=0 is not exposed — this op gates on row count only, and
-    the distributed sibling is pinned in its own test)."""
+    native groupby-Sum combines them.  Under the gate limit the whole
+    stream is one driver lexsort (pinned equal to the distributed path by
+    the meta-pin)."""
     from ray.data.aggregate import Sum
 
     empty = pa.table({"t1": pa.array([], pa.string()),
@@ -13052,7 +12907,8 @@ def event_trigrams(
                       "t3": pa.array([], pa.string()),
                       "n": pa.array([], pa.int64())})
     path = f"{sf_dir}/events.parquet"
-    if _footer_rows(path) == 0:
+    n_rows = _footer_rows(path)
+    if n_rows == 0:
         return empty
     cols = ["user_id", "ts", "event_id", "event_type"]
 
@@ -13080,8 +12936,7 @@ def event_trigrams(
                             ("t2", "ascending"), ("t3", "ascending")]))
         return out.slice(0, top_k)
 
-    n_rows = _footer_rows(path)
-    if n_rows is not None and n_rows <= driver_limit:
+    if R.route("event_trigrams", n_rows) == "driver":
         tbl = _collect(_read_sized(path, columns=cols))
         return top(tri_counts(
             tbl.column("user_id").to_numpy(),
@@ -13447,9 +13302,7 @@ def count_of_counts(sf_dir: str) -> pa.Table:
         "mass": pa.array(freq * n_types, pa.int64())})
 
 
-def gram_novelty(
-    sf_dir: str, n: int = 8, driver_limit: int = 5_000_000
-) -> pa.Table:
+def gram_novelty(sf_dir: str, n: int = 8) -> pa.Table:
     """Per-document novelty attribution over word ``n``-grams: how many of a
     doc's distinct grams FIRST appear in that doc (first = minimum doc_id),
     i.e. each document's marginal contribution to corpus coverage — the
@@ -13508,7 +13361,7 @@ def gram_novelty(
         return t.rename_columns(["gram_h", "first_doc"])
 
     n_gram_rows = D._metadata_row_count(gram_rows)
-    small = n_gram_rows is not None and n_gram_rows <= driver_limit
+    small = R.route("gram_novelty.grams", n_gram_rows) == "driver"
     first_np: tuple[np.ndarray, np.ndarray] | None = None
     if small:
         ftbl = _merge_partials(
@@ -13530,7 +13383,7 @@ def gram_novelty(
             .materialize()
         )
         n_keys = D._metadata_row_count(first_ds)
-        if n_keys is not None and n_keys <= 2_000_000:
+        if R.route("gram_novelty.keys", n_keys) == "driver":
             parts = [b for b in first_ds.iter_batches(batch_format="pyarrow")]
             ftbl = pa.concat_tables(parts) if parts else pa.table(
                 {"gram_h": pa.array([], pa.int64()),
@@ -13963,10 +13816,7 @@ _SHIP_LATENCY_SCHEMA = {"o_orderpriority": pa.string(), "week": pa.int64(),
                         "n_lines": pa.int64()}
 
 
-def ship_latency_histogram(
-    sf_dir: str, broadcast_limit: int = 5_000_000,
-    force_distributed: bool = False,
-) -> pa.Table:
+def ship_latency_histogram(sf_dir: str) -> pa.Table:
     """Order→ship latency distribution: lineitem rows bucketed by WHOLE
     WEEKS between o_orderdate and l_shipdate, per order priority — the
     fulfillment-SLA histogram (a bounded artifact: priorities × the
@@ -14013,8 +13863,7 @@ def ship_latency_histogram(
                                      zero_copy_batch=True)
     n_ords = _footer_rows(f"{sf_dir}/orders.parquet")
 
-    if not force_distributed and (n_ords is not None
-                                  and n_ords <= broadcast_limit):
+    if R.route("ship_latency_histogram", n_ords) == "driver":
         ot = _collect(ords, fallback_schema={
             "o_orderkey": pa.int64(), "od_us": pa.int64(),
             "o_orderpriority": pa.string()})
@@ -14134,9 +13983,7 @@ def events_mad_outliers(sf_dir: str) -> pa.Table:
         "n_outliers": pa.array([r[4] for r in rows], pa.int64())})
 
 
-def host_link_reciprocity(
-    sf_dir: str, force_distributed: bool = False,
-) -> pa.Table:
+def host_link_reciprocity(sf_dir: str) -> pa.Table:
     """Per-host link reciprocity: of each host's DISTINCT out-neighbors,
     how many link back, in exact-integer ppm — the symmetry audit that
     separates navigational link farms (reciprocal) from editorial
@@ -14175,7 +14022,8 @@ def host_link_reciprocity(
                          "n_recip": t.column("n_recip"),
                          "reciprocity_ppm": pa.array(ppm, pa.int64())})
 
-    if not force_distributed:
+    n_docs = _footer_rows(f"{sf_dir}/documents.parquet")
+    if R.route("host_link_reciprocity", n_docs) == "driver":
         et = _merge_partials(
             partials, ["src_host", "dst_host"], [("n", "sum")],
             fallback_schema={"src_host": pa.string(),
@@ -14234,10 +14082,7 @@ def host_link_reciprocity(
                      "reciprocity_ppm": pa.array(ppm, pa.int64())})
 
 
-def order_backlog_monthly(
-    sf_dir: str, broadcast_limit: int = 5_000_000,
-    force_distributed: bool = False,
-) -> pa.Table:
+def order_backlog_monthly(sf_dir: str) -> pa.Table:
     """Open-order backlog over time: for every month where it changes,
     how many orders have been placed but not yet fully shipped (an order
     completes at its max l_shipdate; completion is clamped to the order
@@ -14288,8 +14133,7 @@ def order_backlog_monthly(
             "open_orders": pa.array(open_orders, pa.int64())})
 
     n_ords = _footer_rows(f"{sf_dir}/orders.parquet")
-    if not force_distributed and (n_ords is not None
-                                  and n_ords <= broadcast_limit):
+    if R.route("order_backlog_monthly", n_ords) == "driver":
         comp = _merge_partials(
             li.map_batches(max_partial, batch_format="pyarrow",
                            zero_copy_batch=True),
@@ -14493,22 +14337,33 @@ def source_drift_audit(sf_dir: str) -> pa.Table:
     change under us" audit run before mixing a new crawl in.
 
     Scale shape: the midpoint comes from parquet footer column stats
-    (zero scan); one streaming pass emits bounded (source, half) partial
+    (zero scan; a file written without them pays one doc_id min/max
+    scan); one streaming pass emits bounded (source, half) partial
     sums; everything downstream is a tiny driver merge in exact integer
     arithmetic (floor-half-up ppm means, signed integer delta)."""
     import pyarrow.parquet as pq
 
-    md = pq.read_metadata(f"{sf_dir}/documents.parquet")
-    lo, hi = None, None
-    for rg in range(md.num_row_groups):
-        for ci in range(md.row_group(rg).num_columns):
-            col = md.row_group(rg).column(ci)
-            if col.path_in_schema == "doc_id" and col.statistics is not None:
-                s = col.statistics
-                lo = s.min if lo is None else min(lo, s.min)
-                hi = s.max if hi is None else max(hi, s.max)
-    if lo is None:
-        lo, hi = 0, 0
+    path = f"{sf_dir}/documents.parquet"
+    md = pq.read_metadata(path)
+    ci = md.schema.names.index("doc_id")
+    stats = [md.row_group(rg).column(ci).statistics
+             for rg in range(md.num_row_groups)
+             if md.row_group(rg).num_rows]
+    if all(st is not None and st.has_min_max for st in stats):
+        lo = min((st.min for st in stats), default=0)
+        hi = max((st.max for st in stats), default=0)
+    else:  # written without statistics: one min/max scan of doc_id
+        def min_max(b: pa.Table) -> pa.Table:
+            mm = pc.min_max(b.column("doc_id"))
+            return pa.table({"lo": pa.array([mm["min"].as_py()], pa.int64()),
+                             "hi": pa.array([mm["max"].as_py()], pa.int64())})
+
+        t = _collect(
+            _docs_sized(sf_dir, columns=["doc_id"]).map_batches(
+                min_max, batch_format="pyarrow", zero_copy_batch=True),
+            fallback_schema={"lo": pa.int64(), "hi": pa.int64()})
+        lo = pc.min(t.column("lo")).as_py() or 0
+        hi = pc.max(t.column("hi")).as_py() or 0
     mid = (int(lo) + int(hi)) // 2
 
     ds = _docs_sized(sf_dir, columns=["doc_id", "source", "text"],
@@ -14573,7 +14428,6 @@ def source_drift_audit(sf_dir: str) -> pa.Table:
 
 def host_bfs_depths(
     sf_dir: str, seed_host: str = "h00", max_depth: int = 5,
-    force_distributed: bool = False,
 ) -> pa.Table:
     """Breadth-first shortest-path depths from ``seed_host`` over the
     DIRECTED host graph, capped at ``max_depth`` hops → (host, depth) for
@@ -14590,10 +14444,10 @@ def host_bfs_depths(
     the meta-pin test."""
     from ray.data.aggregate import Min
 
-    empty = pa.table({"host": pa.array([], pa.string()),
-                      "depth": pa.array([], pa.int64())})
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return empty
+    n_docs = _footer_rows(f"{sf_dir}/documents.parquet")
+    if n_docs == 0:  # no edges: the seed alone, at depth 0
+        return pa.table({"host": pa.array([seed_host], pa.string()),
+                         "depth": pa.array([0], pa.int64())})
 
     def edge_partial(b: pa.Table) -> pa.Table:
         t = b.group_by(["src_host", "dst_host"]).aggregate(
@@ -14603,25 +14457,22 @@ def host_bfs_depths(
     partials = _host_edges(sf_dir).map_batches(
         edge_partial, batch_format="pyarrow", zero_copy_batch=True)
 
-    if not force_distributed:
+    if R.route("host_bfs_depths", n_docs) == "driver":
         et = _merge_partials(
             partials, ["src_host", "dst_host"], [("n", "sum")],
             fallback_schema={"src_host": pa.string(),
                              "dst_host": pa.string(), "n": pa.int64()})
         src = np.asarray(et.column("src_host").to_pylist(), dtype=object)
         dst = np.asarray(et.column("dst_host").to_pylist(), dtype=object)
-        hosts = np.unique(np.concatenate([src, dst])) if len(src) else (
-            np.array([], dtype=object))
-        if hosts.size == 0:
-            return empty
+        # the seed is a host at depth 0 even when no edge touches it, as
+        # on the distributed path and in the oracle
+        hosts = np.unique(np.concatenate(
+            [src, dst, np.array([seed_host], dtype=object)]))
         si = np.searchsorted(hosts, src)
         di = np.searchsorted(hosts, dst)
         INF = np.iinfo(np.int64).max
         dist = np.full(hosts.size, INF, np.int64)
-        seed_idx = np.searchsorted(hosts, seed_host)
-        if seed_idx >= hosts.size or hosts[seed_idx] != seed_host:
-            return empty
-        dist[seed_idx] = 0
+        dist[np.searchsorted(hosts, seed_host)] = 0
         for _ in range(max_depth):
             ok = dist[si] != INF
             cand_d = dist[si[ok]] + 1
@@ -14632,12 +14483,14 @@ def host_bfs_depths(
             "depth": pa.array(dist[keep], pa.int64())}
         ).sort_by([("host", "ascending")])
 
-    edges = (
+    # groupby outputs carry zero-column empty blocks that a join cannot
+    # key on (see D._ensure_block_schema): scrub both join sides
+    edges = D._ensure_block_schema(
         partials.groupby(["src_host", "dst_host"])
         .aggregate(Min("n"))
         .rename_columns(["src_host", "dst_host", "n"])
-        .materialize()
-    )
+        .materialize(),
+        {"src_host": pa.string(), "dst_host": pa.string(), "n": pa.int64()})
     dist_ds = ray.data.from_arrow(pa.table(
         {"host": pa.array([seed_host], pa.string()),
          "depth": pa.array([0], pa.int64())}))
@@ -14651,12 +14504,12 @@ def host_bfs_depths(
                 {"host": b.column("dst_host"),
                  "depth": pc.add(b.column("depth"), 1)}),
             batch_format="pyarrow", zero_copy_batch=True)
-        dist_ds = (
+        dist_ds = D._ensure_block_schema(
             dist_ds.union(frontier)
             .groupby("host").aggregate(Min("depth"))
             .rename_columns(["host", "depth"])
-            .materialize()
-        )
+            .materialize(),
+            {"host": pa.string(), "depth": pa.int64()})
     out = _collect(dist_ds, fallback_schema={"host": pa.string(),
                                              "depth": pa.int64()})
     return out.sort_by([("host", "ascending")])
@@ -14707,7 +14560,11 @@ def events_burst_detection(
     (they seed windows that cross midnight but are not anchors there).
     Each group is a vectorized two-pointer over its sorted timestamps
     (searchsorted, no Python loop per event) emitting one partial max;
-    the final fold is a bounded per-type driver merge."""
+    the final fold is a bounded per-type driver merge.  The halo is one
+    day deep, so ``window_min`` above 1440 raises ValueError."""
+    if window_min > 1440:
+        raise ValueError(
+            f"window_min={window_min} exceeds the one-day halo (1440)")
     win_us = window_min * 60 * 1_000_000
     day_us = 86_400_000_000
     ev = _read_sized(f"{sf_dir}/events.parquet",
@@ -14905,9 +14762,7 @@ def neardup_threshold_curve(sf_dir: str) -> pa.Table:
                             pa.int64())})
 
 
-def lineitem_column_stats(
-    sf_dir: str, driver_limit: int = 5_000_000,
-) -> pa.Table:
+def lineitem_column_stats(sf_dir: str) -> pa.Table:
     """ANALYZE-style catalog statistics for lineitem's numeric columns:
     exact min/max (integer cents where money), exact distinct count and
     row count per column — the table a cost-based planner and the
@@ -14915,9 +14770,10 @@ def lineitem_column_stats(
 
     Scale shape: min/max/rows fold from per-block partials (driver
     merge, 4 columns × blocks rows); the exact NDV per column is a
-    per-block ``np.unique`` partial into ONE distributed groupby on
-    (column, value) — value domains here are bounded (quantities,
-    cents, discounts), so the exchange is domain-sized, not row-sized."""
+    per-block ``np.unique`` partial, merged on the driver under the
+    lineitem footer gate and by ONE distributed groupby on (column,
+    value) above it.  Extendedprice cents are near-unique, so that
+    exchange is row-sized, not domain-sized."""
     cols = ["l_quantity", "l_extendedprice", "l_discount", "l_tax"]
     path = f"{sf_dir}/lineitem.parquet"
     li = _read_sized(path, columns=cols, rows_per_block=8192)
@@ -14934,9 +14790,7 @@ def lineitem_column_stats(
 
     uniq_partials = li.map_batches(partial, batch_format="pyarrow",
                                    zero_copy_batch=True)
-    n_rows_gate = _footer_rows(path)
-    if (driver_limit and n_rows_gate is not None
-            and n_rows_gate <= driver_limit):
+    if R.route("lineitem_column_stats", _footer_rows(path)) == "driver":
         # per-block distinct rows are <= side rows; one driver unique
         # per column replaces a (col, value) exchange that is NOT
         # domain-bounded (extendedprice cents are near-unique)
@@ -14962,7 +14816,12 @@ def lineitem_column_stats(
         ndv_map = dict(zip(ndv.column("col").to_pylist(),
                            ndv.column("ndv").to_pylist()))
 
+    mm_schema = {"col": pa.string(), "min_c": pa.int64(),
+                 "max_c": pa.int64(), "n_rows": pa.int64()}
+
     def mm_partial(b: pa.Table) -> pa.Table:
+        if b.num_rows == 0:  # min/max of an empty block are undefined
+            return pa.table({n: pa.array([], t) for n, t in mm_schema.items()})
         rows = []
         for c in cols:
             v = _cents(b.column(c)).to_numpy()
@@ -14976,8 +14835,7 @@ def lineitem_column_stats(
         li.map_batches(mm_partial, batch_format="pyarrow",
                        zero_copy_batch=True),
         ["col"], [("min_c", "min"), ("max_c", "max"), ("n_rows", "sum")],
-        fallback_schema={"col": pa.string(), "min_c": pa.int64(),
-                         "max_c": pa.int64(), "n_rows": pa.int64()})
+        fallback_schema=mm_schema)
     mm = mm.sort_by([("col", "ascending")])
     return pa.table({
         "col": mm.column("col"),
@@ -14988,9 +14846,7 @@ def lineitem_column_stats(
                          for c in mm.column("col").to_pylist()], pa.int64())})
 
 
-def join_cardinality_audit(
-    sf_dir: str, driver_limit: int = 5_000_000,
-) -> pa.Table:
+def join_cardinality_audit(sf_dir: str) -> pa.Table:
     """Join-size estimator audit for orders ⋈ lineitem on the order key:
     the textbook uniform-assumption estimate ⌊n₁·n₂ / max(ndv₁, ndv₂)⌋
     beside the TRUE join cardinality and the signed error — the check a
@@ -15018,8 +14874,8 @@ def join_cardinality_audit(
     op = f"{sf_dir}/orders.parquet"
     lp = f"{sf_dir}/lineitem.parquet"
     no_f, nl_f = _footer_rows(op), _footer_rows(lp)
-    if (driver_limit and no_f is not None and nl_f is not None
-            and no_f + nl_f <= driver_limit):
+    n_both = None if no_f is None or nl_f is None else no_f + nl_f
+    if R.route("join_cardinality_audit", n_both) == "driver":
         # per-block (key, count) partials are <= side rows: merge both
         # sides on the driver and compute the matched Σ c1·c2 with one
         # sorted intersection — replaces two key-cardinality groupbys

@@ -39,6 +39,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from .. import routing as R
 from ..functions import text_stats as T
 
 logger = logging.getLogger(__name__)
@@ -205,7 +206,6 @@ def minhash_candidate_pairs(
     bands: int = 16,
     text_col: str = "text",
     distinct: bool = True,
-    driver_limit: int = 50_000,
 ) -> ray.data.Dataset:
     """doc pairs sharing ≥1 LSH band bucket.
 
@@ -213,13 +213,14 @@ def minhash_candidate_pairs(
     per shared band — callers that collect the (small) candidate set anyway
     should dedup driver-side instead of paying a second all-to-all.
 
-    ``driver_limit``: when the parquet-metadata row count is known and at or
-    under this bound, bucket grouping + pair emission + distinct run on the
-    driver over the (tiny: rows × bands small ints) signature table instead
-    of paying two all-to-all shuffles whose fixed cost (~2.9 s measured at
-    32 CPUs) dwarfs the work.  Semantics are bit-identical: the same
-    ``_emit_pairs`` runs per bucket slice.  Transformed inputs have no
-    metadata count and always take the distributed path.
+    Gate ``dedup.minhash_candidate_pairs``: when the parquet-metadata row
+    count is known and within its limit, bucket grouping + pair emission
+    + distinct run on the driver over the (tiny: rows × bands small ints)
+    signature table instead of paying two all-to-all shuffles whose fixed
+    cost (~2.9 s measured at 32 CPUs) dwarfs the work.  Semantics are
+    bit-identical: the same ``_emit_pairs`` runs per bucket slice.
+    Transformed inputs have no metadata count and always take the
+    distributed path.
     """
     sig = ds.map_batches(
         minhash_bands_batch,
@@ -230,9 +231,9 @@ def minhash_candidate_pairs(
 
     return _bucket_pairs(
         sig,
+        "dedup.minhash_candidate_pairs",
         _metadata_row_count(ds),
         _emit_pairs,
-        driver_limit,
         _id_type(ds, "doc_id"),
         distinct=distinct,
     )
@@ -240,9 +241,9 @@ def minhash_candidate_pairs(
 
 def _bucket_pairs(
     sig: ray.data.Dataset,
+    gate: str,
     n_rows: int | None,
     emit_fn,
-    driver_limit: int,
     idt: pa.DataType,
     value_col: str | None = None,
     value_type: pa.DataType | None = None,
@@ -251,8 +252,8 @@ def _bucket_pairs(
     """Bucket groupby → per-bucket pair emission → (doc_a, doc_b) distinct,
     shared by the minhash / simhash / embedding-LSH families.
 
-    When the SOURCE row count is known from parquet metadata and at or under
-    ``driver_limit``, the whole reduction runs on the driver over the
+    When the SOURCE row count is known from parquet metadata and within the
+    caller's ``gate`` limit, the whole reduction runs on the driver over the
     collected signature table (rows × bands small fixed-width rows): group
     runs come from one sort + ``np.diff`` boundary scan and the SAME
     ``emit_fn`` runs per bucket slice, so semantics are bit-identical to the
@@ -261,7 +262,7 @@ def _bucket_pairs(
     input) or large counts take the distributed groupby path unchanged —
     the 100 TB shape is unaffected.
     """
-    if n_rows is not None and n_rows <= driver_limit:
+    if R.route(gate, n_rows) == "driver":
         cols = {"doc_a": pa.array([], idt), "doc_b": pa.array([], idt)}
         if value_col is not None:
             cols[value_col] = pa.array([], value_type)
@@ -360,7 +361,6 @@ def minhash_dedup_pairs(
     bands: int = 16,
     text_col: str = "text",
     join_partitions: int | None = None,
-    broadcast_limit: int = 50_000,
 ) -> ray.data.Dataset:
     """Verified near-duplicate pairs: LSH candidates filtered by true
     word-trigram Jaccard — **fully distributed** (round-2 judge item #1).
@@ -380,10 +380,11 @@ def minhash_dedup_pairs(
     inside such a degenerate bucket, a true pair whose members are neither
     hub-adjacent nor consecutive and share no other bucket is missed.
 
-    ``broadcast_limit``: corpora whose parquet-metadata row count is at or
-    under this bound verify against a ``ray.put``-broadcast shingle map
-    instead of paying two hash-join actor spin-ups (the small-side-broadcast
-    pattern; identical results, same vectorized kernel).
+    Gate ``dedup.minhash_dedup_pairs``: corpora whose parquet-metadata row
+    count is within its limit verify against a ``ray.put``-broadcast
+    shingle map instead of paying two hash-join actor spin-ups (the
+    small-side-broadcast pattern; identical results, same vectorized
+    kernel).
     """
     if join_partitions is None:
         join_partitions = _default_join_partitions(ds)
@@ -405,7 +406,7 @@ def minhash_dedup_pairs(
         )
 
     pairs_lazy = minhash_candidate_pairs(
-        ds, num_perm, bands, text_col, distinct=True, driver_limit=broadcast_limit
+        ds, num_perm, bands, text_col, distinct=True
     )
     shingles_lazy = ds.map_batches(
         add_shingles, batch_format="pyarrow", zero_copy_batch=True
@@ -419,7 +420,7 @@ def minhash_dedup_pairs(
     # cost that dwarfs verification on corpora this size.  Transformed
     # inputs have no metadata count and always take the distributed path.
     n_rows = _metadata_row_count(ds)
-    if n_rows is not None and n_rows <= broadcast_limit:
+    if R.route("dedup.minhash_dedup_pairs", n_rows) == "driver":
         sh_map: dict = {}
         for b in shingles_lazy.iter_batches(batch_format="pyarrow"):
             for i, s in zip(b.column("doc_id").to_pylist(),
@@ -560,7 +561,6 @@ def components_keep_first(
     pair_cols: tuple[str, str] = ("doc_a", "doc_b"),
     max_rounds: int = 15,
     join_partitions: int | None = None,
-    driver_limit: int = 1_000_000,
 ) -> ray.data.Dataset:
     """Collapse every cluster (connected component of ``pairs``) to its
     min-id representative: returns the rows of ``ds`` that survive.
@@ -569,7 +569,7 @@ def components_keep_first(
     so each near-dup family composes into an actual corpus deduplicator.
 
     Regime split on the VERIFIED pair count (free metadata after the edge
-    materialize): at or under ``driver_limit`` edges, a driver-side
+    materialize): at or under the gate limit edges, a driver-side
     union-find labels the graph in one pass — the verified pair set is the
     small end product of dedup, and a per-round join+aggregate cadence
     (actor pools spinning up each round) costs orders of magnitude more
@@ -606,7 +606,7 @@ def components_keep_first(
     if n_edges == 0:
         return ds  # no pairs → every row is its own representative
 
-    if n_edges <= driver_limit:
+    if R.route("dedup.components_keep_first", n_edges) == "driver":
         drops = _union_find_drops(edges, id_col)
         if drops is None:
             return ds
@@ -665,15 +665,13 @@ def union_find_labels(edges: ray.data.Dataset) -> pa.Table:
 def component_labels(
     pairs: ray.data.Dataset,
     pair_cols: tuple[str, str] = ("doc_a", "doc_b"),
-    driver_limit: int = 1_000_000,
     join_partitions: int | None = None,
     max_rounds: int = 15,
-    force_distributed: bool = False,
 ) -> ray.data.Dataset:
     """Component labels (u, label) for every node of a verified pair
     Dataset — the labeling that ``components_keep_first`` uses internally,
     exposed for policies OTHER than keep-first (e.g. keep-best-quality).
-    Same regime split: driver union-find at or under ``driver_limit``
+    Same regime split: driver union-find at or under the gate limit
     edges, distributed min-label propagation above (or when forced)."""
     col_a, col_b = pair_cols
 
@@ -690,7 +688,7 @@ def component_labels(
         idt = _id_type(pairs, col_a)
         return ray.data.from_arrow(pa.table(
             {"u": pa.array([], idt), "label": pa.array([], idt)}))
-    if not force_distributed and doubled.count() <= driver_limit:
+    if R.route("dedup.component_labels", doubled.count()) == "driver":
         return ray.data.from_arrow(union_find_labels(doubled))
     return propagate_min_labels(
         doubled, join_partitions=join_partitions, max_rounds=max_rounds,
@@ -981,7 +979,6 @@ def simhash_dedup_pairs(
     ds: ray.data.Dataset,
     max_hamming: int = 3,
     text_col: str = "text",
-    driver_limit: int = 50_000,
 ) -> ray.data.Dataset:
     """Near-dup pairs by SimHash banding + hamming verification.
 
@@ -989,7 +986,7 @@ def simhash_dedup_pairs(
     and the cross-band pair dedup is a second (doc_a, doc_b) groupby — a
     pair that matches in k bands collapses to one row without any driver
     set.  Returns a Dataset of (doc_a, doc_b, hamming).  Corpora whose
-    metadata row count is at or under ``driver_limit`` run the bucket
+    metadata row count is at or under the gate limit run the bucket
     reduction on the driver via ``_bucket_pairs`` (identical semantics,
     no all-to-all fixed cost)."""
 
@@ -1062,9 +1059,9 @@ def simhash_dedup_pairs(
     # reproduces it exactly; keep the int32 dtype the oracle pins
     deduped = _bucket_pairs(
         banded,
+        "dedup.simhash_dedup_pairs",
         _metadata_row_count(ds),
         pairs_in_bucket,
-        driver_limit,
         _id_type(ds, "doc_id"),
         value_col="hamming",
         value_type=pa.int32(),
@@ -1098,7 +1095,6 @@ def embedding_neardup_lsh(
     vec_col: str = "embedding",
     join_partitions: int | None = None,
     broadcast: bool = False,
-    driver_limit: int = 50_000,
 ) -> ray.data.Dataset:
     """Approximate cosine near-dup pairs — the 100 TB path.
 
@@ -1168,9 +1164,9 @@ def embedding_neardup_lsh(
     # True exists precisely because transformed inputs have no count)
     pairs = _bucket_pairs(
         sk,
+        "dedup.embedding_neardup_lsh",
         0 if broadcast else _metadata_row_count(ds),
         _emit_pairs,
-        driver_limit,
         pa.int64(),
     ).materialize()
     if pairs.count() == 0:
@@ -1484,8 +1480,6 @@ def containment_dedup_pairs(
     threshold: float = 0.6,
     text_col: str = "text",
     join_partitions: int | None = None,
-    broadcast_limit: int = 50_000,
-    force_distributed: bool = False,
 ) -> ray.data.Dataset:
     """ASYMMETRIC near-dup: ordered pairs (doc_a, doc_b, containment) with
     ``|S(a) ∩ S(b)| / |S(a)| ≥ threshold`` over word-trigram shingle sets —
@@ -1505,10 +1499,10 @@ def containment_dedup_pairs(
     map_groups (each group ≤ the doc's shingle count); verification
     attaches packed shingle buffers by hash join (or a ``ray.put``
     broadcast map under the gate) and computes containment vectorized.
-    Under ``broadcast_limit`` (parquet-metadata row count) the candidate
+    Under the gate limit (parquet-metadata row count) the candidate
     generation runs on the driver over the collected postings — same emit
-    helper per bucket slice, bit-identical semantics (meta-pinned via
-    ``force_distributed``)."""
+    helper per bucket slice, bit-identical semantics (meta-pinned
+    under the forced policy)."""
     if join_partitions is None:
         join_partitions = _default_join_partitions(ds)
     idt = _id_type(ds, "doc_id")
@@ -1545,11 +1539,7 @@ def containment_dedup_pairs(
         )
 
     n_rows = _metadata_row_count(ds)
-    gated = (
-        not force_distributed
-        and n_rows is not None
-        and n_rows <= broadcast_limit
-    )
+    gated = R.route("dedup.containment_dedup_pairs", n_rows) == "driver"
 
     if gated:
         # driver regime: postings fit comfortably (rows × shingles small

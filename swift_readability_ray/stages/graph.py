@@ -44,6 +44,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
+from .. import routing as R
 from ..functions.hashing import md5_bucket
 from .dedup import _default_join_partitions, propagate_min_labels
 
@@ -198,15 +199,13 @@ def _pagerank_distributed(
 def pagerank(
     ew: ray.data.Dataset,
     iterations: int = 5,
-    driver_limit: int = 500_000,
     join_partitions: int | None = None,
-    force_distributed: bool = False,
 ) -> pa.Table:
     """Integer PageRank over an aggregated weighted edge Dataset
     (src, dst, w) → (host, rank_c) sorted by host.
 
     Regime split on the aggregated edge count (free metadata after the
-    materialize): a host graph at or under ``driver_limit`` edges iterates
+    materialize): a host graph at or under the gate limit edges iterates
     vectorized on the driver (five scatter-add passes beat five
     join+groupby rounds by orders of magnitude at this size); above it the
     join-per-iteration distributed path runs.  Both are oracle-pinned to
@@ -219,7 +218,7 @@ def pagerank(
                             "w": pa.array([], pa.int64())})
     if n_edges == 0:
         return _pagerank_numpy(empty_edges, iterations)
-    if not force_distributed and n_edges <= driver_limit:
+    if R.route("graph.pagerank", n_edges) == "driver":
         tbl = pa.concat_tables(ew.iter_batches(batch_format="pyarrow"))
         return _pagerank_numpy(tbl, iterations).sort_by("host")
     ranks = _pagerank_distributed(ew, iterations, join_partitions)
@@ -230,14 +229,12 @@ def pagerank(
 
 def connected_components(
     edges: ray.data.Dataset,
-    driver_limit: int = 1_000_000,
     join_partitions: int | None = None,
-    force_distributed: bool = False,
 ) -> pa.Table:
     """Connected components of the (undirected) host graph → one row per
     host ``(host, component)`` where ``component`` is the min host label.
 
-    Below ``driver_limit`` edges: one-pass driver union-find (min-root).
+    Below the gate limit edges: one-pass driver union-find (min-root).
     Above: ``propagate_min_labels`` — the same distributed pointer-jumping
     propagation the near-dup corpus collapse uses, every reduction a
     native Min aggregate.  Tests force the distributed path and pin both
@@ -256,7 +253,7 @@ def connected_components(
                       "component": pa.array([], pa.string())})
     if doubled.count() == 0:
         return empty
-    if not force_distributed and doubled.count() <= driver_limit:
+    if R.route("graph.connected_components", doubled.count()) == "driver":
         return _union_find_labels(doubled).sort_by("host")
     labels = propagate_min_labels(
         doubled, join_partitions=join_partitions,
@@ -279,9 +276,7 @@ def _union_find_labels(edges: ray.data.Dataset) -> pa.Table:
 def random_walks(
     ew: ray.data.Dataset,
     steps: int = 3,
-    driver_limit: int = 500_000,
     join_partitions: int | None = None,
-    force_distributed: bool = False,
 ) -> pa.Table:
     """Deterministic ``steps``-hop walks from every host — the positive-
     pair sampler graph-embedding training (DeepWalk/node2vec) consumes.
@@ -290,7 +285,7 @@ def random_walks(
     bridge again, so walks are reproducible on any cluster size and in
     SQL); dangling hosts absorb (stay in place).  → (host, h1..h{steps}).
 
-    Driver path (≤ ``driver_limit`` aggregated edges): dict-indexed
+    Driver path (≤ the gate limit aggregated edges): dict-indexed
     neighbor lists, one pass.  Distributed path: per step ONE left-outer
     join against the out-degree table (computes the target rank) and ONE
     two-key left-outer join against the rank-indexed neighbor table —
@@ -305,7 +300,7 @@ def random_walks(
                          **{f"h{k+1}": pa.array([], pa.string())
                             for k in range(steps)}})
 
-    if not force_distributed and n_edges <= driver_limit:
+    if R.route("graph.random_walks", n_edges) == "driver":
         tbl = pa.concat_tables(ew.iter_batches(batch_format="pyarrow"))
         nbrs: dict[str, list[str]] = {}
         hosts_set = set()
@@ -405,9 +400,7 @@ def random_walks(
 
 def triangle_count(
     ew: ray.data.Dataset,
-    driver_limit: int = 500_000,
     join_partitions: int | None = None,
-    force_distributed: bool = False,
 ) -> pa.Table:
     """Undirected triangle count of the host graph → one row
     ``(n_triangles)`` — the classic two-join distributed graph primitive
@@ -440,7 +433,7 @@ def triangle_count(
     if n_edges == 0:
         return pa.table({"n_triangles": pa.array([0], pa.int64())})
 
-    if not force_distributed and n_edges <= driver_limit:
+    if R.route("graph.triangle_count", n_edges) == "driver":
         tbl = pa.concat_tables(und.iter_batches(batch_format="pyarrow"))
         aa = tbl.column("a").to_pylist()
         bb = tbl.column("b").to_pylist()
@@ -472,8 +465,6 @@ def edge_negatives(
     ew: ray.data.Dataset,
     per_host: int = 4,
     join_partitions: int | None = None,
-    driver_limit: int = 500_000,
-    force_distributed: bool = False,
 ) -> pa.Table:
     """Deterministic NEGATIVE edge sampling for link-prediction training —
     the complement of ``random_walks``' positives: for every host, up to
@@ -494,7 +485,7 @@ def edge_negatives(
     n_edges = ew.count()
     if n_edges == 0:
         return empty
-    if not force_distributed and n_edges <= driver_limit:
+    if R.route("graph.edge_negatives", n_edges) == "driver":
         # tiny edge list: driver set-lookup rejection (the anti join's
         # hash shuffle can emit schema-less empty blocks on 1-row sides)
         tbl = pa.concat_tables(ew.iter_batches(batch_format="pyarrow"))
@@ -668,9 +659,7 @@ def _hits_distributed(
 def hits(
     ew: ray.data.Dataset,
     iterations: int = 3,
-    driver_limit: int = 500_000,
     join_partitions: int | None = None,
-    force_distributed: bool = False,
 ) -> pa.Table:
     """Fixed-iteration integer HITS over an aggregated weighted edge
     Dataset (src, dst, w) → (host, authority_c, hub_c) sorted by host —
@@ -695,8 +684,8 @@ def hits(
     guards are for the empty graph only.
 
     Regime split mirrors :func:`pagerank`: vectorized driver scatter-adds
-    under ``driver_limit`` aggregated edges, join-per-half-step
-    distributed above it (or under ``force_distributed``); tests pin the
+    under the gate limit aggregated edges, join-per-half-step
+    distributed above it (or when forced); tests pin the
     two paths equal."""
     ew = ew.materialize()
     n_edges = ew.count()
@@ -705,7 +694,7 @@ def hits(
                             "w": pa.array([], pa.int64())})
     if n_edges == 0:
         return _hits_numpy(empty_edges, iterations)
-    if not force_distributed and n_edges <= driver_limit:
+    if R.route("graph.hits", n_edges) == "driver":
         tbl = pa.concat_tables(ew.iter_batches(batch_format="pyarrow"))
         return _hits_numpy(tbl, iterations).sort_by("host")
     return _hits_distributed(ew, iterations, join_partitions)
@@ -713,9 +702,7 @@ def hits(
 
 def clustering_coefficients(
     ew: ray.data.Dataset,
-    driver_limit: int = 500_000,
     join_partitions: int | None = None,
-    force_distributed: bool = False,
 ) -> pa.Table:
     """LOCAL clustering coefficient per host — the per-node refinement of
     :func:`triangle_count`: degree, triangle membership count, and
@@ -766,7 +753,7 @@ def clustering_coefficients(
                          "n_triangles": pa.array(t, pa.int64()),
                          "cc_ppm": pa.array(cc, pa.int64())})
 
-    if not force_distributed and n_edges <= driver_limit:
+    if R.route("graph.clustering_coefficients", n_edges) == "driver":
         tbl = pa.concat_tables(und.iter_batches(batch_format="pyarrow"))
         aa = tbl.column("a").to_pylist()
         bb = tbl.column("b").to_pylist()

@@ -13,6 +13,15 @@ import pytest
 VOCAB = "the a of to and spark row scan hash merge table value fast".split()
 
 
+def _forced(fn, *args, gates=(), **kwargs):
+    """``fn(*args, **kwargs)`` with ``gates`` (every routing gate when
+    none is named) forced to the distributed path."""
+    from swift_readability_ray import routing
+
+    with routing.forced(*gates):
+        return fn(*args, **kwargs)
+
+
 def _entry():
     import importlib.util
 
@@ -618,15 +627,15 @@ def test_q7_q15_q22_forced_distributed(tmp_path, ray_session, seed):
     from swift_readability_ray.pipelines import training_data as TD
 
     a7 = TD.q7_nation_volume(str(tmp_path))
-    d7 = TD.q7_nation_volume(str(tmp_path), force_distributed=True)
+    d7 = _forced(TD.q7_nation_volume, str(tmp_path))
     assert a7.num_rows > 0
     assert a7.equals(d7)
     a15 = TD.q15_top_supplier(str(tmp_path))
-    d15 = TD.q15_top_supplier(str(tmp_path), force_distributed=True)
+    d15 = _forced(TD.q15_top_supplier, str(tmp_path))
     assert a15.num_rows > 0
     assert a15.equals(d15)
     a22 = TD.q22_sales_opportunity(str(tmp_path))
-    d22 = TD.q22_sales_opportunity(str(tmp_path), force_distributed=True)
+    d22 = _forced(TD.q22_sales_opportunity, str(tmp_path))
     assert a22.equals(d22)
 
 
@@ -638,16 +647,15 @@ def test_q8_q9_q12_forced_distributed(tmp_path, ray_session, seed):
     from swift_readability_ray.pipelines import training_data as TD
 
     a8 = TD.q8_market_share(str(tmp_path))
-    d8 = TD.q8_market_share(str(tmp_path), force_distributed=True)
+    d8 = _forced(TD.q8_market_share, str(tmp_path))
     assert a8.num_rows > 0
     assert a8.equals(d8)
     a9 = TD.q9_product_profit(str(tmp_path))
-    d9 = TD.q9_product_profit(str(tmp_path), force_distributed=True)
+    d9 = _forced(TD.q9_product_profit, str(tmp_path))
     assert a9.num_rows > 0
     assert a9.equals(d9)
     a12 = TD.q12_late_shipment_priority(str(tmp_path))
-    d12 = TD.q12_late_shipment_priority(str(tmp_path),
-                                        force_distributed=True)
+    d12 = _forced(TD.q12_late_shipment_priority, str(tmp_path))
     assert a12.num_rows > 0
     assert a12.equals(d12)
 
@@ -662,20 +670,19 @@ def test_q11_q21_forced_distributed(tmp_path, ray_session, seed):
     from swift_readability_ray.pipelines import training_data as TD
 
     a11 = TD.q11_important_parts(str(tmp_path))
-    d11 = TD.q11_important_parts(str(tmp_path), force_distributed=True)
+    d11 = _forced(TD.q11_important_parts, str(tmp_path))
     assert a11.num_rows > 0
     assert a11.equals(d11)
     a21 = TD.q21_waiting_suppliers(str(tmp_path))
-    # pair_driver_limit=0 defeats the thin-pair guard so the groupby +
-    # broadcast (omax, nsupp) chain actually runs
-    d21 = TD.q21_waiting_suppliers(str(tmp_path), force_distributed=True,
-                                   pair_driver_limit=0)
+    # forcing the pair gate alone runs the groupby + broadcast
+    # (omax, nsupp) chain behind the broadcast F-key filter
+    d21 = _forced(TD.q21_waiting_suppliers, str(tmp_path),
+                  gates=("q21_waiting_suppliers.pairs",))
     assert a21.num_rows > 0
     assert a21.equals(d21)
-    # broadcast_limit=0 additionally forces the P×M hash-join branch
-    # and the distributed F-key semi-join
-    j21 = TD.q21_waiting_suppliers(str(tmp_path), force_distributed=True,
-                                   pair_driver_limit=0, broadcast_limit=0)
+    # forcing every gate adds the P×M hash-join branch and the
+    # distributed F-key semi-join
+    j21 = _forced(TD.q21_waiting_suppliers, str(tmp_path))
     assert a21.equals(j21)
 
 
@@ -688,11 +695,11 @@ def test_q2_q20_forced_distributed(tmp_path, ray_session, seed):
     from swift_readability_ray.pipelines import training_data as TD
 
     a2 = TD.q2_min_acctbal_supplier(str(tmp_path))
-    d2 = TD.q2_min_acctbal_supplier(str(tmp_path), force_distributed=True)
+    d2 = _forced(TD.q2_min_acctbal_supplier, str(tmp_path))
     assert a2.num_rows > 0
     assert a2.equals(d2)
     a20 = TD.q20_dominant_suppliers(str(tmp_path))
-    d20 = TD.q20_dominant_suppliers(str(tmp_path), force_distributed=True)
+    d20 = _forced(TD.q20_dominant_suppliers, str(tmp_path))
     assert a20.num_rows > 0
     assert a20.equals(d20)
 
@@ -705,7 +712,7 @@ def test_attribution_linear_forced_distributed(tmp_path, ray_session, seed):
     from swift_readability_ray.pipelines import training_data as TD
 
     a = TD.attribution_linear(str(tmp_path))
-    d = TD.attribution_linear(str(tmp_path), driver_limit=0)
+    d = _forced(TD.attribution_linear, str(tmp_path))
     assert a.num_rows > 0
     assert a.equals(d)
 
@@ -721,7 +728,7 @@ def test_sentence_dedup_forced_distributed(tmp_path, ray_session, seed):
     from swift_readability_ray.pipelines import training_data as TD
 
     a = TD.sentence_dedup(str(tmp_path))
-    d = TD.sentence_dedup(str(tmp_path), force_distributed=True)
+    d = _forced(TD.sentence_dedup, str(tmp_path))
     assert a.num_rows == 14
     # the filter must CUT on this corpus, not pass everything through
     assert (sum(a.column("n_kept").to_pylist())
@@ -739,11 +746,10 @@ def test_q4_q18_forced_distributed(tmp_path, ray_session, seed):
     from swift_readability_ray.pipelines import training_data as TD
 
     a4 = TD.q4_priority_anomalies(str(tmp_path))
-    d4 = TD.q4_priority_anomalies(str(tmp_path), force_distributed=True)
+    d4 = _forced(TD.q4_priority_anomalies, str(tmp_path))
     assert a4.equals(d4)
     a18 = TD.q18_large_orders(str(tmp_path), qty_threshold=60.0)
-    d18 = TD.q18_large_orders(str(tmp_path), qty_threshold=60.0,
-                              force_distributed=True)
+    d18 = _forced(TD.q18_large_orders, str(tmp_path), qty_threshold=60.0)
     assert a18.num_rows > 0
     assert a18.equals(d18)
 
@@ -757,15 +763,15 @@ def test_q13_q10_forced_distributed(tmp_path, ray_session, seed):
     from swift_readability_ray.pipelines import training_data as TD
 
     a13 = TD.q13_order_distribution(str(tmp_path))
-    d13 = TD.q13_order_distribution(str(tmp_path), force_distributed=True)
+    d13 = _forced(TD.q13_order_distribution, str(tmp_path))
     assert a13.num_rows > 0
     assert a13.equals(d13)
     a10 = TD.q10_returned_revenue(str(tmp_path))
-    d10 = TD.q10_returned_revenue(str(tmp_path), force_distributed=True)
+    d10 = _forced(TD.q10_returned_revenue, str(tmp_path))
     assert a10.num_rows > 0
     assert a10.equals(d10)
     a16 = TD.q16_part_suppliers(str(tmp_path))
-    d16 = TD.q16_part_suppliers(str(tmp_path), force_distributed=True)
+    d16 = _forced(TD.q16_part_suppliers, str(tmp_path))
     assert a16.num_rows > 0
     assert a16.equals(d16)
 
@@ -779,17 +785,17 @@ def test_event_transitions_bigram_distributed_siblings(tmp_path, ray_session):
     from swift_readability_ray.pipelines import training_data as TD
 
     drv = TD.event_transitions(str(tmp_path))
-    dist = TD.event_transitions(str(tmp_path), driver_limit=0)
+    dist = _forced(TD.event_transitions, str(tmp_path))
     assert drv.num_rows > 0
     assert drv.equals(dist)
     bd = TD.bigram_typicality(str(tmp_path))
-    bb = TD.bigram_typicality(str(tmp_path), broadcast_limit=0)
+    bb = _forced(TD.bigram_typicality, str(tmp_path))
     assert bd.equals(bb)
     sd = TD.source_diversity(str(tmp_path))
-    sdd = TD.source_diversity(str(tmp_path), driver_limit=0)
+    sdd = _forced(TD.source_diversity, str(tmp_path))
     assert sd.equals(sdd)
     wd = TD.events_dau_wau(str(tmp_path))
-    wdd = TD.events_dau_wau(str(tmp_path), driver_limit=0)
+    wdd = _forced(TD.events_dau_wau, str(tmp_path))
     assert wd.num_rows > 0
     assert wd.equals(wdd)
 
@@ -847,7 +853,7 @@ def test_neardup_keep_best_forced_distributed(tmp_path, ray_session):
     from swift_readability_ray.pipelines import training_data as TD
 
     drv = TD.neardup_keep_best(str(tmp_path))
-    dist = TD.neardup_keep_best(str(tmp_path), force_distributed=True)
+    dist = _forced(TD.neardup_keep_best, str(tmp_path))
     assert drv.equals(dist)
     # each kept doc is the longest of its cluster; cluster sizes sum to n
     assert sum(drv.column("cluster_size").to_pylist()) == docs.num_rows
@@ -1020,7 +1026,7 @@ def test_differential_q5(tmp_path, ray_session, seed):
         q5_local_supplier_volume,
     )
 
-    dist = q5_local_supplier_volume(str(tmp_path), force_distributed=True)
+    dist = _forced(q5_local_supplier_volume, str(tmp_path))
     assert dist.to_pandas()[sorted(mine.columns)].reset_index(
         drop=True).equals(mine)
 
@@ -1042,7 +1048,7 @@ def test_every_oracled_query_is_fuzzed():
 
 
 def test_catalog_ops_forced_distributed(tmp_path, ray_session):
-    # round-5 catalog ops: driver_limit=0 forces the distributed
+    # round-5 catalog ops: forcing their gates runs the distributed
     # groupby/join siblings; both paths must match exactly
     rng = np.random.RandomState(11)
     _rand_tpch(rng, tmp_path)
@@ -1050,5 +1056,36 @@ def test_catalog_ops_forced_distributed(tmp_path, ray_session):
 
     for fn in (TD.lineitem_column_stats, TD.join_cardinality_audit):
         gate = fn(str(tmp_path))
-        forced = fn(str(tmp_path), driver_limit=0)
+        forced = _forced(fn, str(tmp_path))
         assert gate.to_pylist() == forced.to_pylist(), fn.__name__
+
+
+def test_lineitem_column_stats_zero_row_file(tmp_path, ray_session):
+    # a 0-row lineitem.parquet: no min/max of an empty block, a typed
+    # empty table on both routes, equal to the oracle's empty GROUP BY
+    _rand_tpch(np.random.RandomState(19), tmp_path)
+    li = pq.read_table(str(tmp_path / "lineitem.parquet"))
+    pq.write_table(li.slice(0, 0), str(tmp_path / "lineitem.parquet"))
+    from swift_readability_ray.pipelines import training_data as TD
+
+    _compare_tpch(_entry(), "lineitem_column_stats", str(tmp_path))
+    gate = TD.lineitem_column_stats(str(tmp_path))
+    forced = _forced(TD.lineitem_column_stats, str(tmp_path))
+    assert gate.num_rows == 0
+    assert gate.equals(forced)
+
+
+def test_source_drift_audit_without_footer_statistics(tmp_path, ray_session):
+    # a documents file written without column statistics splits at the
+    # true doc_id midpoint, not at 0 (which put every doc in "late")
+    rng = np.random.RandomState(5)
+    docs = _rand_documents(rng, 20)
+    docs = docs.set_column(0, "doc_id", pa.array(range(100, 120), pa.int64()))
+    pq.write_table(docs, str(tmp_path / "documents.parquet"),
+                   write_statistics=False)
+    pq.write_table(_rand_embeddings(rng, 8),
+                   str(tmp_path / "embeddings.parquet"))
+    pq.write_table(_rand_events(rng, 8), str(tmp_path / "events.parquet"))
+    md = pq.read_metadata(str(tmp_path / "documents.parquet"))
+    assert md.row_group(0).column(0).statistics is None
+    _compare(_entry(), "source_drift_audit", str(tmp_path))

@@ -6,8 +6,16 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from swift_readability_ray import routing
 from swift_readability_ray.pipelines import training_data as TD
 from swift_readability_ray.stages import graph as G
+
+
+def _forced(fn, *args):
+    """``fn(*args)`` with every routing gate forced to the distributed
+    path."""
+    with routing.forced():
+        return fn(*args)
 
 
 def _write_docs(tmp_path, ids):
@@ -25,7 +33,7 @@ def _write_docs(tmp_path, ids):
 def test_pagerank_distributed_equals_driver(tmp_path, ray_session):
     sf = _write_docs(tmp_path, list(range(30)))
     drv = TD.pagerank_hosts(sf)
-    dist = TD.pagerank_hosts(sf, force_distributed=True)
+    dist = _forced(TD.pagerank_hosts, sf)
     assert drv.equals(dist)
     # every rank is at least the jump mass; total mass is bounded by the
     # undamped total (leakage from dangling hosts + floor divisions only
@@ -38,7 +46,7 @@ def test_pagerank_distributed_equals_driver(tmp_path, ray_session):
 def test_components_distributed_equals_driver(tmp_path, ray_session):
     sf = _write_docs(tmp_path, list(range(30)))
     drv = TD.host_components(sf)
-    dist = TD.host_components(sf, force_distributed=True)
+    dist = _forced(TD.host_components, sf)
     assert drv.equals(dist)
     # component label is the min host of its group
     comp = drv.to_pydict()
@@ -137,7 +145,7 @@ def test_attribution_dual_path(tmp_path, ray_session):
     )
 
     drv = attribution_last_touch(str(tmp_path))
-    dist = attribution_last_touch(str(tmp_path), driver_limit=0)
+    dist = _forced(attribution_last_touch, str(tmp_path))
     assert drv.equals(dist)
     got = {r["event_id"]: (r["click_event_id"], r["gap_us"])
            for r in drv.to_pylist()}
@@ -155,7 +163,7 @@ def test_attribution_dual_path(tmp_path, ray_session):
 def test_random_walks_distributed_equals_driver(tmp_path, ray_session):
     sf = _write_docs(tmp_path, list(range(30)))
     drv = TD.random_walks(sf)
-    dist = TD.random_walks(sf, force_distributed=True)
+    dist = _forced(TD.random_walks, sf)
     assert drv.equals(dist)
     # every hop is either a real out-neighbor of the previous host or an
     # absorbing stay on a dangling host
@@ -195,7 +203,7 @@ def test_retention_dual_path(tmp_path, ray_session):
     )
 
     drv = retention_cohorts(str(tmp_path))
-    dist = retention_cohorts(str(tmp_path), driver_limit=0)
+    dist = _forced(retention_cohorts, str(tmp_path))
     assert drv.equals(dist)
     # offset 0 row exists for every cohort and counts its full cohort
     d = drv.to_pylist()
@@ -207,7 +215,7 @@ def test_retention_dual_path(tmp_path, ray_session):
 def test_triangle_count_distributed_equals_driver(tmp_path, ray_session):
     sf = _write_docs(tmp_path, list(range(40)))
     drv = TD.triangle_count(sf)
-    dist = TD.triangle_count(sf, force_distributed=True)
+    dist = _forced(TD.triangle_count, sf)
     assert drv.equals(dist)
 
 
@@ -220,8 +228,8 @@ def test_triangle_count_known_graph(ray_session):
          "dst": pa.array(["h1", "h2", "h3", "h2", "h3"], pa.string()),
          "w": pa.array([1] * 5, pa.int64())}))
     assert G.triangle_count(ew).column("n_triangles").to_pylist() == [2]
-    assert G.triangle_count(
-        ew, force_distributed=True).column("n_triangles").to_pylist() == [2]
+    assert _forced(G.triangle_count, ew).column(
+        "n_triangles").to_pylist() == [2]
 
 
 def test_edge_negatives_distributed_equals_driver(tmp_path, ray_session):
@@ -231,8 +239,7 @@ def test_edge_negatives_distributed_equals_driver(tmp_path, ray_session):
 
     sf = _write_docs(tmp_path, list(range(40)))
     drv = TD.edge_negatives(sf)
-    dist = G.edge_negatives(_weighted_host_edges(sf),
-                            force_distributed=True)
+    dist = _forced(G.edge_negatives, _weighted_host_edges(sf))
     assert drv.equals(dist)
     # no negative is a real edge
     lg = TD.link_graph(sf)
@@ -246,7 +253,7 @@ def test_edge_negatives_distributed_equals_driver(tmp_path, ray_session):
 def test_hits_distributed_equals_driver(tmp_path, ray_session):
     sf = _write_docs(tmp_path, list(range(30)))
     drv = TD.hits_hosts(sf)
-    dist = TD.hits_hosts(sf, force_distributed=True)
+    dist = _forced(TD.hits_hosts, sf)
     assert drv.equals(dist)
     # max-normalization invariants: scores live in [0, S] and each side
     # attains its max exactly (the argmax normalizes to S)
@@ -284,3 +291,23 @@ def test_hits_empty_graph(ray_session):
     out = G.hits(ew)
     assert out.num_rows == 0
     assert out.schema.names == ["host", "authority_c", "hub_c"]
+
+
+def test_host_bfs_depths_absent_seed(tmp_path, ray_session):
+    # a seed no edge touches is still a host at depth 0, on both routes
+    # and in the oracle (which seeds (seed, 0) unconditionally)
+    sf = _write_docs(tmp_path, list(range(30)))
+    want = [{"host": "h_absent", "depth": 0}]
+    assert TD.host_bfs_depths(sf, seed_host="h_absent").to_pylist() == want
+    assert _forced(TD.host_bfs_depths, sf, "h_absent").to_pylist() == want
+    # no documents, no edges: the same lone seed row
+    (tmp_path / "empty").mkdir()
+    empty_sf = _write_docs(tmp_path / "empty", [])
+    assert TD.host_bfs_depths(empty_sf).to_pylist() == [
+        {"host": "h00", "depth": 0}]
+
+
+def test_events_burst_detection_rejects_windows_over_a_day(tmp_path):
+    # the one-day halo cannot hold a longer window: fail, don't undercount
+    with pytest.raises(ValueError, match="1440"):
+        TD.events_burst_detection(str(tmp_path), window_min=1441)

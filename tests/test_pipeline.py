@@ -619,7 +619,7 @@ def test_nested_pack_preserves_nulls():
 def test_components_path_graph_worst_case(ray_session, caplog):
     """Adversarial convergence (judge r2 item #8): a single long PATH is the
     worst case for min-label propagation — the min must travel the full
-    diameter.  ``driver_limit=0`` forces the DISTRIBUTED propagation (the
+    diameter.  Forcing the gate runs the DISTRIBUTED propagation (the
     small edge list would otherwise take the union-find shortcut).  Pointer
     jumping roughly halves the effective path length per round, so a
     47-hop chain must converge in ≤ ~log2(n)+2 rounds (asserted from the
@@ -631,6 +631,7 @@ def test_components_path_graph_worst_case(ray_session, caplog):
     import pyarrow as pa
     import ray.data as rd
 
+    from swift_readability_ray import routing
     from swift_readability_ray.stages import dedup as D
 
     n = 48
@@ -643,8 +644,9 @@ def test_components_path_graph_worst_case(ray_session, caplog):
         "doc_b": pa.array(range(1, n), pa.int64()),
     }))
     with caplog.at_level(logging.INFO, logger="swift_readability_ray.stages.dedup"):
-        kept = D.components_keep_first(docs, path_pairs, max_rounds=15,
-                                       join_partitions=2, driver_limit=0)
+        with routing.forced("dedup.components_keep_first"):
+            kept = D.components_keep_first(docs, path_pairs, max_rounds=15,
+                                           join_partitions=2)
         kept_ids = sorted(
             pa.concat_tables(list(kept.iter_batches(batch_format="pyarrow")))
             .column("doc_id").to_pylist()
@@ -664,6 +666,7 @@ def test_components_nonconvergence_warning(ray_session, caplog):
     import pyarrow as pa
     import ray.data as rd
 
+    from swift_readability_ray import routing
     from swift_readability_ray.stages import dedup as D
 
     n = 48
@@ -680,8 +683,9 @@ def test_components_nonconvergence_warning(ray_session, caplog):
         "doc_b": pa.array(seq[1:], pa.int64()),
     }))
     with caplog.at_level(logging.WARNING, logger="swift_readability_ray.stages.dedup"):
-        kept = D.components_keep_first(docs, path_pairs, max_rounds=1,
-                                       join_partitions=2, driver_limit=0)
+        with routing.forced("dedup.components_keep_first"):
+            kept = D.components_keep_first(docs, path_pairs, max_rounds=1,
+                                           join_partitions=2)
         n_kept = kept.count()
     assert any("max_rounds" in r.message for r in caplog.records)
     assert 1 < n_kept < n  # under-collapsed: node 1 survives alongside 0
