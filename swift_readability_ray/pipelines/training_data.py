@@ -17,11 +17,23 @@ n)`` call against the named limit in ``routing.LIMITS``; no op takes a
 size-limit or force parameter.  ``with routing.forced():`` (all gates) or
 ``routing.forced("events_sessions", ...)`` (named gates) runs the
 distributed paths instead — for tests and dry runs.
+
+Empty results: an op's empty-result schema is owned by the op's own UDFs,
+never restated.  Ray loses it on the way: it never calls a
+``map_batches`` UDF on an empty block, so a mapped dataset with no rows
+has no schema, and a hash-shuffle partition with no rows becomes a
+zero-column block.  ``_gather`` / ``_rollup`` collect a map and, when no
+batch comes back, apply its UDF to the typed empty table of the source;
+``_collect`` / ``_empty_of`` replay a longer plan (maps, map_groups,
+filters, projections, groupby-aggregates) on the source's empty table;
+``_materialize`` and ``_scrubbed`` keep a materialized map or join side
+typed.  Every query is pinned on zero-row and one-row tables.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import re
 
@@ -112,7 +124,12 @@ _PAGE_EXTRACT_COLUMNS = [
 
 def _extracted_spans(sf_dir: str) -> ray.data.Dataset:
     if sf_dir not in _SPAN_EXTRACT_CACHE:
-        _SPAN_EXTRACT_CACHE[sf_dir] = extract_spans(sf_dir).materialize()
+        ds = extract_spans(sf_dir).materialize()
+        if ds.count() == 0:  # no documents: the extract UDF's OUT schema
+            from ..schema import OUT
+
+            ds = ray.data.from_arrow(OUT.empty_table())
+        _SPAN_EXTRACT_CACHE[sf_dir] = ds
     return _SPAN_EXTRACT_CACHE[sf_dir]
 
 
@@ -153,34 +170,125 @@ def _component_labels_cached(sf_dir: str, threshold: float) -> ray.data.Dataset:
     return _COMPONENT_LABEL_CACHE[key]
 
 
-def _collect(
-    ds: ray.data.Dataset, fallback_schema: dict | None = None
-) -> pa.Table:
-    """Concat a (small) Dataset's batches into one pyarrow Table, returning
-    a correctly-typed EMPTY table when the result has no batches at all —
-    ``pa.concat_tables([])`` raises, and a filter that legitimately drops
-    every row (e.g. a selective Q3 cutoff on a small corpus) must yield an
-    empty result, not a crash.  ``fallback_schema`` ({name: type}) covers
-    the fully-degenerate case where even ``ds.schema()`` is None (every
-    mapped block empty on a tiny corpus)."""
-    batches = list(ds.iter_batches(batch_format="pyarrow"))
+def _collect(ds: ray.data.Dataset) -> pa.Table:
+    """Concat a (small) Dataset's batches into one pyarrow Table; a dataset
+    without rows yields its typed empty table (``_empty_of``)."""
+    # a zero-row batch can carry a stale (pre-projection) schema
+    batches = [b for b in ds.iter_batches(batch_format="pyarrow")
+               if b.num_rows]
     if batches:
         return pa.concat_tables(batches)
+    return _empty_of(ds)
+
+
+def _empty_of(ds: ray.data.Dataset) -> pa.Table:
+    """The typed empty table of ``ds``.
+
+    Over an input with no rows Ray infers no schema for a ``map_batches``
+    or ``map_groups`` (it never calls the UDF on an empty block), a
+    ``filter`` or a groupby-aggregate, and the pre-projection one for a
+    ``select_columns``.  So the logical plan is replayed on the typed
+    empty table of its source: each pyarrow UDF supplies its own empty
+    output, filters and shuffles keep their input's schema, projections
+    select and rename, and an aggregate types its columns as the pyarrow
+    kernel does.  Anything else (a join, a union) falls back to
+    ``ds.schema()``."""
+    t = _empty_op(ds._logical_plan.dag)
+    if t is not None:
+        return t
     s = ds.schema()
     if s is None:
-        if fallback_schema is None:
-            raise ValueError("empty dataset with unknown schema and no fallback")
-        return pa.table({n: pa.array([], t) for n, t in fallback_schema.items()})
-    return pa.table({n: pa.array([], t) for n, t in zip(s.names, s.types)})
+        raise ValueError("empty dataset with unknown schema")
+    return pa.schema(list(zip(s.names, s.types))).empty_table()
 
 
-def _merge_partials(
-    partials: ray.data.Dataset, keys: list[str], aggs: list[tuple[str, str]],
-    fallback_schema: dict | None = None,
+def _empty_op(op) -> pa.Table | None:
+    """``op``'s output over empty sources, or None when not derivable."""
+    from ray.data._internal.logical.operators.all_to_all_operator import (
+        Aggregate, RandomShuffle, Repartition, Sort)
+    from ray.data._internal.logical.operators.map_operator import (
+        Filter, MapBatches, Project)
+
+    if isinstance(op, (Filter, RandomShuffle, Repartition, Sort)):
+        return _empty_op(op.input_dependencies[0])
+    if isinstance(op, Project) and not op.exprs:
+        t = _empty_op(op.input_dependencies[0])
+        if t is not None and op.cols is not None:
+            t = t.select(op.cols)
+        if t is not None and op.cols_rename:
+            t = t.rename_columns(
+                [op.cols_rename.get(n, n) for n in t.column_names])
+        return t
+    if isinstance(op, MapBatches) and op._fn_constructor_args is None:
+        fn = op._fn
+        if op._batch_format is None:
+            # map_groups: Ray wraps the per-group UDF in a group splitter
+            # (its closure holds the UDF and the group batch format)
+            env = inspect.getclosurevars(fn).nonlocals
+            fn = env.get("fn") if env.get("batch_format") == "pyarrow" \
+                else None
+        elif op._batch_format != "pyarrow":
+            fn = None
+        t = _empty_op(op.input_dependencies[0])
+        if t is None or not callable(fn) or isinstance(fn, type):
+            return None
+        return fn(t, *(op._fn_args or ()), **(op._fn_kwargs or {}))
+    if isinstance(op, Aggregate):
+        t = _empty_op(op.input_dependencies[0])
+        return None if t is None else _empty_aggregate(t, op._key, op._aggs)
+    s = op.infer_schema()
+    if s is None:  # a source of zero-row blocks still holds their schema
+        s = next((b.schema for b in getattr(op, "input_data", None) or ()
+                  if b.schema is not None), None)
+    return None if s is None else pa.schema(
+        list(zip(s.names, s.types))).empty_table()
+
+
+def _empty_aggregate(t: pa.Table, key, aggs) -> pa.Table | None:
+    """A Ray ``groupby(key).aggregate(*aggs)`` over the empty ``t``: the
+    key columns, then one ``fn(col)`` column per aggregation, typed as
+    the pyarrow kernel Ray runs types it."""
+    from ray.data.aggregate import Count, Max, Mean, Min, Sum
+
+    keys = [key] if isinstance(key, str) else list(key or [])
+    out = t.select(keys)
+    kinds = {Sum: "sum", Min: "min", Max: "max", Mean: "mean"}
+    for agg in aggs:
+        col = agg.get_target_column()
+        if type(agg) is Count:
+            arr = pa.array([], pa.int64())
+        elif type(agg) in kinds and col is not None:
+            arr = t.select([col]).group_by([]).aggregate(
+                [(col, kinds[type(agg)])]).column(0).slice(0, 0)
+        else:
+            return None
+        out = out.append_column(agg.name, arr)
+    return out
+
+
+def _gather(src: ray.data.Dataset, fn, **map_kw) -> pa.Table:
+    """``src.map_batches(fn)`` collected on the driver.  When no batch
+    comes back (Ray never calls a UDF on an empty block, so a mapped
+    dataset with no rows has no schema) the result is ``fn`` applied to
+    the typed empty table of ``src``: the op's own UDF supplies its empty
+    result, and ``src.schema()`` is fetched only on that path."""
+    out = src.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True,
+                          **map_kw)
+    batches = list(out.iter_batches(batch_format="pyarrow"))
+    if batches:
+        return pa.concat_tables(batches)
+    return fn(_empty_of(src), **map_kw.get("fn_kwargs", {}))
+
+
+def _rollup(
+    src: ray.data.Dataset, fn, keys: list[str], aggs: list[tuple[str, str]],
+    **map_kw,
 ) -> pa.Table:
-    """Driver-side merge of per-block PARTIAL aggregates: each ``(col, fn)``
-    in ``aggs`` (fn ∈ sum/min/max — the re-combinable reductions) is applied
-    per ``keys`` group and renamed back to the partial column name.
+    """Driver-side merge of the per-block PARTIAL aggregates ``fn`` makes
+    of ``src`` (``_gather``, so an empty input still merges ``fn``'s typed
+    empty partial): each ``(col, fn)`` in ``aggs`` (sum/min/max — the
+    re-combinable reductions) is applied per ``keys`` group and renamed
+    back to the partial column name.
 
     The scale rule: valid only when the group cardinality is small and
     bounded, so the partial table is ≤ blocks × groups tiny rows —
@@ -191,8 +299,38 @@ def _merge_partials(
     cardinalities (word_counts' vocabulary, per-user sessions) must keep
     the distributed groupby instead.
     """
-    merged = _collect(partials, fallback_schema).group_by(keys).aggregate(aggs)
+    return _merge(_gather(src, fn, **map_kw), keys, aggs)
+
+
+def _merge(partials: pa.Table, keys: list[str],
+           aggs: list[tuple[str, str]]) -> pa.Table:
+    merged = partials.group_by(keys).aggregate(aggs)
     return merged.rename_columns(keys + [c for c, _ in aggs])
+
+
+def _scrubbed(ds: ray.data.Dataset) -> ray.data.Dataset:
+    """``ds`` materialized as a join side.  Ray's hash aggregate emits a
+    zero-column block for every partition that got no rows, and a join
+    over one fails (see ``D._ensure_block_schema``): those blocks are
+    dropped, and a result with no rows is ``ds``'s typed empty table."""
+    mds = ds.materialize()
+    good = D._nonempty_blocks(mds)
+    if good is None:
+        return mds
+    if not good:
+        return ray.data.from_arrow(_empty_of(ds))
+    return ray.data.from_arrow_refs(good)
+
+
+def _materialize(src: ray.data.Dataset, fn) -> ray.data.Dataset:
+    """``src.map_batches(fn).materialize()`` that keeps its schema when it
+    has no rows: an empty result is replaced by ``fn``'s typed empty
+    output (row counts of a materialized dataset are metadata)."""
+    out = src.map_batches(fn, batch_format="pyarrow",
+                          zero_copy_batch=True).materialize()
+    if out.count() == 0:
+        return ray.data.from_arrow(fn(_empty_of(src)))
+    return out
 
 
 _GRAM_TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -307,7 +445,7 @@ def _md5_bucket(key, mod: int) -> int:
 
 def doc_stats(sf_dir: str) -> pa.Table:
     """Per-language doc count and char stats: per-block partial aggregate +
-    tiny driver merge (bounded group cardinality — see _merge_partials)."""
+    tiny driver merge (bounded group cardinality — see _rollup)."""
     ds = _docs_sized(sf_dir, columns=["lang", "n_chars"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -315,8 +453,7 @@ def doc_stats(sf_dir: str) -> pa.Table:
             [("n_chars", "sum"), ("n_chars", "count")]
         ).rename_columns(["lang", "chars", "n"])
 
-    p = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    m = _merge_partials(p, ["lang"], [("chars", "sum"), ("n", "sum")])
+    m = _rollup(ds, partial, ["lang"], [("chars", "sum"), ("n", "sum")])
     return pa.table({
         "lang": m.column("lang"),
         "n_docs": m.column("n"),
@@ -337,18 +474,14 @@ def readerable_filter(sf_dir: str, min_chars: int = 500) -> pa.Table:
             [("source", "count")]
         ).rename_columns(["source", "n_docs"])
 
-    p = filtered.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    return _merge_partials(
-        p, ["source"], [("n_docs", "sum")],
-        fallback_schema={"source": pa.string(), "n_docs": pa.int64()},
-    ).sort_by("source")
+    return _rollup(
+        filtered, partial, ["source"], [("n_docs", "sum")]).sort_by("source")
 
 
 def token_counts(sf_dir: str) -> pa.Table:
     """Per-doc whitespace + BPE-ish token counts (vectorized map_batches)."""
     ds = _docs_sized(sf_dir, columns=["doc_id", "text"], rows_per_block=1024)
-    out = ds.map_batches(TA.add_token_counts, batch_format="pyarrow", zero_copy_batch=True)
-    tbl = pa.concat_tables([b for b in out.iter_batches(batch_format="pyarrow")])
+    tbl = _gather(ds, TA.add_token_counts)
     return tbl.select(["doc_id", "ws_tokens", "bpe_tokens"]).sort_by("doc_id")
 
 
@@ -356,7 +489,7 @@ def exact_dedup(sf_dir: str) -> pa.Table:
     """Exact dedup: min doc_id kept per distinct text (hash groupby)."""
     ds = _docs_sized(sf_dir, columns=["doc_id", "text"], rows_per_block=1024)
     kept = D.exact_dedup_keep_first(ds)
-    tbl = pa.concat_tables([b for b in kept.iter_batches(batch_format="pyarrow")])
+    tbl = _collect(kept)
     return tbl.select(["doc_id"]).sort_by("doc_id")
 
 
@@ -371,8 +504,7 @@ def top_docs(sf_dir: str, k: int = 10) -> pa.Table:
     def partial_topk(batch: pa.Table) -> pa.Table:
         return batch.take(pc.sort_indices(batch, sort_keys=keys)[:k])
 
-    partials = ds.map_batches(partial_topk, batch_format="pyarrow", zero_copy_batch=True)
-    tbl = pa.concat_tables([b for b in partials.iter_batches(batch_format="pyarrow")])
+    tbl = _gather(ds, partial_topk)
     return tbl.take(pc.sort_indices(tbl, sort_keys=keys)[:k])
 
 
@@ -386,8 +518,7 @@ def fingerprints(sf_dir: str) -> pa.Table:
             "md5", pa.array([T.md5_fingerprint(t or "") for t in texts], pa.string())
         )
 
-    out = ds.map_batches(add_md5, batch_format="pyarrow", zero_copy_batch=True)
-    return pa.concat_tables([b for b in out.iter_batches(batch_format="pyarrow")]).sort_by("doc_id")
+    return _gather(ds, add_md5).sort_by("doc_id")
 
 
 def _query_vectors(
@@ -434,8 +565,6 @@ def sq_topk_query(sf_dir: str, n_queries: int = 4, k: int = 10) -> pa.Table:
                       "neighbor_id": pa.array([], pa.int64()),
                       "rank": pa.array([], pa.int32()),
                       "qdot": pa.array([], pa.int64())})
-    if _footer_rows(f"{sf_dir}/embeddings.parquet") == 0:
-        return empty
     ds = ray.data.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
@@ -465,8 +594,6 @@ def sq_rerank_topk(
     empty = pa.table({"query_id": pa.array([], pa.int64()),
                       "neighbor_id": pa.array([], pa.int64()),
                       "rank": pa.array([], pa.int32())})
-    if _footer_rows(f"{sf_dir}/embeddings.parquet") == 0:
-        return empty
     ds = ray.data.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
@@ -487,10 +614,7 @@ def sq_rerank_topk(
         hit, _ = _sorted_member(cands, ids)
         return batch.filter(pa.array(hit))
 
-    sub = _collect(
-        ds.map_batches(fetch, batch_format="pyarrow", zero_copy_batch=True),
-        fallback_schema={"vec_id": pa.int64(),
-                         "embedding": pa.list_(pa.float32())})
+    sub = _gather(ds, fetch)
     if sub.num_rows == 0:
         return empty
     mat = S._to_matrix(sub, "embedding").astype(np.float64)
@@ -549,8 +673,6 @@ def sq_persisted_topk_query(
                       "neighbor_id": pa.array([], pa.int64()),
                       "rank": pa.array([], pa.int32()),
                       "qdot": pa.array([], pa.int64())})
-    if _footer_rows(f"{sf_dir}/embeddings.parquet") == 0:
-        return empty
     queries, query_ids, _ = _query_vectors(sf_dir, n_queries)
     if not query_ids:
         return empty
@@ -707,9 +829,9 @@ def orders_by_segment(sf_dir: str) -> pa.Table:
 
     n_orders_rows = _footer_rows(f"{sf_dir}/orders.parquet")
     if R.route("orders_by_segment.orders", n_orders_rows) == "driver":
-        out = seg_rollup(_merge_partials(
-            partials, ["c_mktsegment", "o_custkey"], [("n", "sum")]
-        ))
+        out = seg_rollup(_rollup(
+            tagged, pair_partial, ["c_mktsegment", "o_custkey"],
+            [("n", "sum")]))
     else:
         from ray.data.aggregate import Sum
 
@@ -718,14 +840,11 @@ def orders_by_segment(sf_dir: str) -> pa.Table:
         )
         # the pair table is customers-sized — roll it up per block and
         # driver-merge only segment-count rows, never the pairs
-        out = _merge_partials(
-            agg.map_batches(
-                lambda b: seg_rollup(b.rename_columns(
-                    ["c_mktsegment", "o_custkey", "n"])),
-                batch_format="pyarrow", zero_copy_batch=True,
-            ),
-            ["c_mktsegment"], [("n_orders", "sum"), ("n_customers", "sum")],
-        )
+        out = _rollup(
+            agg,
+            lambda b: seg_rollup(b.rename_columns(
+                ["c_mktsegment", "o_custkey", "n"])),
+            ["c_mktsegment"], [("n_orders", "sum"), ("n_customers", "sum")])
     return pa.table(
         {"c_mktsegment": out.column("c_mktsegment"),
          "n_orders": pc.cast(out.column("n_orders"), pa.int64()),
@@ -746,10 +865,9 @@ def sample_docs(sf_dir: str, rate_pct: int = 10) -> pa.Table:
     def keep(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
         mask = [_md5_bucket(i, 100) < rate_pct for i in ids]
-        return batch.filter(pa.array(mask))
+        return batch.filter(pa.array(mask, pa.bool_()))
 
-    out = ds.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
-    return _collect(out).sort_by("doc_id")
+    return _gather(ds, keep).sort_by("doc_id")
 
 
 def stratified_sample(sf_dir: str, scale: int = 1_000_000) -> pa.Table:
@@ -778,10 +896,7 @@ def stratified_sample(sf_dir: str, scale: int = 1_000_000) -> pa.Table:
              "n": pc.cast(vc.field("counts"), pa.int64())}
         )
 
-    counts = _merge_partials(
-        ds.map_batches(cnt, batch_format="pyarrow", zero_copy_batch=True),
-        ["lang"], [("n", "sum")],
-    )
+    counts = _rollup(ds, cnt, ["lang"], [("n", "sum")])
     ns = counts.column("n").to_pylist()
     mn = min(ns)
     thr = {
@@ -798,12 +913,9 @@ def stratified_sample(sf_dir: str, scale: int = 1_000_000) -> pa.Table:
             _md5_bucket(i, scale) < t.get(lang, 0)
             for i, lang in zip(ids, langs)
         ]
-        return batch.filter(pa.array(mask))
+        return batch.filter(pa.array(mask, pa.bool_()))
 
-    out = ds.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
-    return pa.concat_tables(
-        [b for b in out.iter_batches(batch_format="pyarrow")]
-    ).sort_by("doc_id")
+    return _gather(ds, keep).sort_by("doc_id")
 
 
 def _to_span_docs(batch: pa.Table) -> pa.Table:
@@ -918,10 +1030,22 @@ def span_stats(sf_dir: str) -> pa.Table:
             }
         )
 
-    out = ds.map_batches(stats, batch_format="pyarrow", zero_copy_batch=True)
-    return pa.concat_tables(
-        [b for b in out.iter_batches(batch_format="pyarrow")]
-    ).sort_by("doc_id")
+    return _gather(ds, stats).sort_by("doc_id")
+
+
+def _read_back(
+    root: str, src: ray.data.Dataset, columns: list[str]
+) -> ray.data.Dataset:
+    """Pruned re-read of what ``src.write_parquet(root)`` wrote.  Ray
+    writes no file for a dataset without rows; the source's own (empty)
+    columns then stand in for the read."""
+    import os
+
+    wrote = any(f.endswith(".parquet")
+                for _, _, files in os.walk(root) for f in files)
+    if wrote:
+        return ray.data.read_parquet(root, columns=columns)
+    return src.select_columns(columns)
 
 
 def extract_certificate(sf_dir: str) -> pa.Table:
@@ -942,11 +1066,10 @@ def extract_certificate(sf_dir: str) -> pa.Table:
     root = tempfile.mkdtemp(prefix="extract_cert_")
     try:
         ds.write_parquet(root)
-        back = ray.data.read_parquet(
-            root,
-            columns=["doc_id", "spans", "text_content", "length", "title",
-                     "byline", "excerpt", "readerable"],
-        )
+        back = _read_back(
+            root, ds,
+            ["doc_id", "spans", "text_content", "length", "title", "byline",
+             "excerpt", "readerable"])
 
         def cert(batch: pa.Table) -> pa.Table:
             spans = batch.column("spans").combine_chunks()
@@ -981,10 +1104,7 @@ def extract_certificate(sf_dir: str) -> pa.Table:
                  "readerable": pc.cast(batch.column("readerable"), pa.bool_())}
             )
 
-        out = back.map_batches(cert, batch_format="pyarrow", zero_copy_batch=True)
-        return pa.concat_tables(
-            list(out.iter_batches(batch_format="pyarrow"))
-        ).sort_by("doc_id")
+        return _gather(back, cert).sort_by("doc_id")
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
@@ -1026,8 +1146,8 @@ def events_value_buckets(sf_dir: str) -> pa.Table:
                       "bucket": pa.array(idx, pa.int64())})
         return t.group_by(["event_type", "bucket"]).aggregate([("bucket", "count")])
 
-    partials = ds.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True)
-    m = _merge_partials(partials, ["event_type", "bucket"], [("bucket_count", "sum")])
+    m = _rollup(
+        ds, bucketize, ["event_type", "bucket"], [("bucket_count", "sum")])
     return m.rename_columns(["event_type", "bucket", "n_events"]).sort_by(
         [("event_type", "ascending"), ("bucket", "ascending")]
     )
@@ -1051,9 +1171,8 @@ def events_asof_rates(sf_dir: str) -> pa.Table:
         })
         return t.group_by(["hour"]).aggregate([("event_id", "min")])
 
-    dim_p = ds.map_batches(hour_partial, batch_format="pyarrow", zero_copy_batch=True)
-    dim_tbl = _merge_partials(
-        dim_p, ["hour"], [("event_id_min", "min")]
+    dim_tbl = _rollup(
+        ds, hour_partial, ["hour"], [("event_id_min", "min")]
     ).rename_columns(["hour", "marker_id"]).sort_by("hour")
     hours = dim_tbl.column("hour").to_numpy(zero_copy_only=False)
     markers = dim_tbl.column("marker_id").to_numpy(zero_copy_only=False)
@@ -1066,9 +1185,8 @@ def events_asof_rates(sf_dir: str) -> pa.Table:
         t = pa.table({"marker_id": pa.array(m[idx], pa.int64())})
         return t.group_by(["marker_id"]).aggregate([("marker_id", "count")])
 
-    partials = ds.map_batches(asof, batch_format="pyarrow", zero_copy_batch=True)
-    return _merge_partials(
-        partials, ["marker_id"], [("marker_id_count", "sum")]
+    return _rollup(
+        ds, asof, ["marker_id"], [("marker_id_count", "sum")]
     ).rename_columns(["marker_id", "n_events"]).sort_by("marker_id")
 
 
@@ -1097,11 +1215,9 @@ def events_hourly(sf_dir: str) -> pa.Table:
             [("value_c", "sum"), ("value_c", "count")]
         )
 
-    partials = ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-    m = _merge_partials(
-        partials, ["event_type", "hour"],
-        [("value_c_sum", "sum"), ("value_c_count", "sum")],
-    )
+    m = _rollup(
+        ds, keyed, ["event_type", "hour"],
+        [("value_c_sum", "sum"), ("value_c_count", "sum")])
     tbl = m.rename_columns(
         ["event_type", "hour", "sum_value_c", "n_events"]
     ).sort_by([("event_type", "ascending"), ("hour", "ascending")])
@@ -1124,12 +1240,6 @@ def events_hopping(sf_dir: str, window_hours: int = 6) -> pa.Table:
     the shuffle still moves only (type, window_start, partials) rows —
     the events_dau_wau bounded-expansion pattern; the rollup is the
     standard bounded driver merge."""
-    empty = pa.table({"event_type": pa.array([], pa.string()),
-                      "window_start": pa.array([], pa.timestamp("us")),
-                      "n_events": pa.array([], pa.int64()),
-                      "sum_value_c": pa.array([], pa.int64())})
-    if _footer_rows(f"{sf_dir}/events.parquet") == 0:
-        return empty
     ds = _read_sized(f"{sf_dir}/events.parquet",
                      columns=["event_type", "ts", "value"])
     HOUR_US = 3_600_000_000
@@ -1150,14 +1260,9 @@ def events_hopping(sf_dir: str, window_hours: int = 6) -> pa.Table:
         return b.group_by(["event_type", "window_start"]).aggregate(
             [("value_c", "sum"), ("value_c", "count")])
 
-    m = _merge_partials(
-        ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
-        ["event_type", "window_start"],
-        [("value_c_sum", "sum"), ("value_c_count", "sum")],
-        fallback_schema={"event_type": pa.string(),
-                         "window_start": pa.int64(),
-                         "value_c_sum": pa.int64(),
-                         "value_c_count": pa.int64()})
+    m = _rollup(
+        ds, keyed, ["event_type", "window_start"],
+        [("value_c_sum", "sum"), ("value_c_count", "sum")])
     tbl = m.rename_columns(
         ["event_type", "window_start", "sum_value_c", "n_events"]
     ).sort_by([("event_type", "ascending"), ("window_start", "ascending")])
@@ -1218,20 +1323,13 @@ def events_watermark_late(sf_dir: str) -> pa.Table:
 
     if R.route("events_watermark_late", n_ev) == "driver":
         thin = _read_sized(path, columns=["user_id", "event_id", "ts"])
-        return tail(_collect(thin, fallback_schema={
-            "user_id": pa.int64(), "event_id": pa.int64(),
-            "ts": pa.timestamp("us")})).sort_by("user_id")
+        return tail(_collect(thin)).sort_by("user_id")
 
     with _pinned_hash_shuffle():
         thin = _read_sized(path, columns=["user_id", "event_id", "ts"])
         co = thin.repartition(num_blocks=D._default_join_partitions(thin),
                               keys=["user_id"])
-        out = co.map_batches(tail, batch_format="pyarrow",
-                             zero_copy_batch=True)
-        return _collect(out, fallback_schema={
-            "user_id": pa.int64(), "n_events": pa.int64(),
-            "n_late": pa.int64(), "max_lateness_us": pa.int64()}
-        ).sort_by("user_id")
+        return _gather(co, tail).sort_by("user_id")
 
 
 def readerable_flags(sf_dir: str) -> pa.Table:
@@ -1239,9 +1337,7 @@ def readerable_flags(sf_dir: str) -> pa.Table:
     heuristic (sqrt score over visible p/pre/article nodes), not a length
     proxy (rows-only: the DOM walk is not SQL-expressible)."""
     out = _extracted_spans(sf_dir).select_columns(["doc_id", "readerable"])
-    return pa.concat_tables(
-        [b for b in out.iter_batches(batch_format="pyarrow")]
-    ).sort_by("doc_id")
+    return _collect(out).sort_by("doc_id")
 
 
 def ngram_dedup(sf_dir: str, threshold: float = 0.5) -> pa.Table:
@@ -1276,9 +1372,7 @@ def containment_pairs(sf_dir: str, threshold: float = 0.6) -> pa.Table:
     The driver gate is meta-pinned equal to the distributed path."""
     ds = _docs_sized(sf_dir, columns=["doc_id", "text"])
     pairs = D.containment_dedup_pairs(ds, threshold=threshold)
-    tbl = _collect(pairs, fallback_schema={
-        "doc_a": pa.int64(), "doc_b": pa.int64(),
-        "containment": pa.float64()})
+    tbl = _collect(pairs)
     return tbl.sort_by([("doc_a", "ascending"), ("doc_b", "ascending")])
 
 
@@ -1351,7 +1445,8 @@ def word_counts(sf_dir: str, k: int = 20) -> pa.Table:
     from ray.data.aggregate import Sum
 
     partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    agg = partials.groupby("token").aggregate(Sum("n")).rename_columns(["token", "n"])
+    agg = partials.groupby("token").aggregate(Sum("n")).rename_columns(
+        {"sum(n)": "n"})
 
     # top-k via per-block combiner + tiny driver merge — never a full sort
     # of the vocabulary (which at corpus scale is millions of rows)
@@ -1360,8 +1455,7 @@ def word_counts(sf_dir: str, k: int = 20) -> pa.Table:
     def block_topk(batch: pa.Table) -> pa.Table:
         return batch.take(pc.sort_indices(batch, sort_keys=keys)[:k])
 
-    tops = agg.map_batches(block_topk, batch_format="pyarrow", zero_copy_batch=True)
-    tbl = pa.concat_tables([b for b in tops.iter_batches(batch_format="pyarrow")])
+    tbl = _gather(agg, block_topk)
     return tbl.take(pc.sort_indices(tbl, sort_keys=keys)[:k])
 
 
@@ -1398,12 +1492,10 @@ def lineitem_agg(sf_dir: str) -> pa.Table:
             [("qty_c", "sum"), ("price_c", "sum"), ("disc_c", "sum"), ("qty_c", "count")]
         )
 
-    partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    m = _merge_partials(
-        partials, ["l_returnflag", "l_linestatus"],
+    m = _rollup(
+        ds, partial, ["l_returnflag", "l_linestatus"],
         [("qty_c_sum", "sum"), ("price_c_sum", "sum"),
-         ("disc_c_sum", "sum"), ("qty_c_count", "sum")],
-    )
+         ("disc_c_sum", "sum"), ("qty_c_count", "sum")])
     return m.rename_columns(
         ["l_returnflag", "l_linestatus", "sum_qty_c", "sum_price_c",
          "sum_disc_c", "count_order"]
@@ -1433,11 +1525,7 @@ def events_sessions(sf_dir: str, gap_seconds: int = 1800) -> pa.Table:
         return len(ts_us), 1 + int((gaps > gap_us).sum())
 
     if R.route("events_sessions", n_rows) == "driver":
-        tbl = pa.concat_tables(
-            _read_sized(path, columns=["user_id", "ts"]).iter_batches(
-                batch_format="pyarrow"
-            )
-        )
+        tbl = _collect(_read_sized(path, columns=["user_id", "ts"]))
         uid = tbl.column("user_id").to_numpy()
         ts = tbl.column("ts").to_numpy(zero_copy_only=False).astype(
             "datetime64[us]").astype(np.int64)
@@ -1471,9 +1559,7 @@ def events_sessions(sf_dir: str, gap_seconds: int = 1800) -> pa.Table:
         )
 
     out = ds.groupby("user_id").map_groups(sessionize, batch_format="pyarrow")
-    return pa.concat_tables(
-        [b for b in out.iter_batches(batch_format="pyarrow")]
-    ).sort_by("user_id")
+    return _collect(out).sort_by("user_id")
 
 
 def top_docs_per_source(sf_dir: str, k: int = 3) -> pa.Table:
@@ -1489,7 +1575,7 @@ def top_docs_per_source(sf_dir: str, k: int = 3) -> pa.Table:
         return group.take(idx[:k])
 
     out = ds.groupby("source").map_groups(head_k, batch_format="pyarrow")
-    tbl = pa.concat_tables([b for b in out.iter_batches(batch_format="pyarrow")])
+    tbl = _collect(out)
     return tbl.select(["source", "doc_id", "n_chars"]).sort_by(
         [("source", "ascending"), ("doc_id", "ascending")]
     )
@@ -1505,9 +1591,7 @@ def extract_metadata(sf_dir: str) -> pa.Table:
     out = _extracted_spans(sf_dir).select_columns(
         ["doc_id", "title", "byline", "excerpt"]
     )
-    return pa.concat_tables(
-        [b for b in out.iter_batches(batch_format="pyarrow")]
-    ).sort_by("doc_id")
+    return _collect(out).sort_by("doc_id")
 
 
 def events_json_stats(sf_dir: str) -> pa.Table:
@@ -1531,8 +1615,8 @@ def events_json_stats(sf_dir: str) -> pa.Table:
         ).rename_columns(["event_type", "n_events", "sum_k"])
 
     p = ds.map_batches(extract_k, batch_format="pyarrow", zero_copy_batch=True)
-    return _merge_partials(
-        p, ["event_type"], [("n_events", "sum"), ("sum_k", "sum")]
+    return _rollup(
+        ds, extract_k, ["event_type"], [("n_events", "sum"), ("sum_k", "sum")]
     ).sort_by("event_type")
 
 
@@ -1571,15 +1655,13 @@ def synthesize_page(doc_id: str, text: str, source: str) -> str:
 
 def langid_table(sf_dir: str) -> pa.Table:
     ds = _docs_sized(sf_dir, columns=["doc_id", "text"], rows_per_block=1024)
-    out = ds.map_batches(TA.add_lang_id, batch_format="pyarrow", zero_copy_batch=True)
-    tbl = pa.concat_tables([b for b in out.iter_batches(batch_format="pyarrow")])
+    tbl = _gather(ds, TA.add_lang_id)
     return tbl.select(["doc_id", "lang_pred"]).sort_by("doc_id")
 
 
 def quality_table(sf_dir: str) -> pa.Table:
     ds = _docs_sized(sf_dir, columns=["doc_id", "text"], rows_per_block=1024)
-    out = ds.map_batches(TA.add_quality, batch_format="pyarrow", zero_copy_batch=True)
-    tbl = pa.concat_tables([b for b in out.iter_batches(batch_format="pyarrow")])
+    tbl = _gather(ds, TA.add_quality)
     return tbl.select(["doc_id", "quality"]).sort_by("doc_id")
 
 
@@ -1692,14 +1774,9 @@ def media_features(sf_dir: str, n: int = 64) -> pa.Table:
     media = ds.map_batches(_synth_png_media, batch_format="pyarrow", zero_copy_batch=True)
     # task-pool form on warm workers (module-cached decoder instance) — no
     # actor-pool spin-up; binary payloads keep batch_size small
-    out = media.map_batches(
-        media_features_batch,
-        fn_kwargs={"decoder": "png", "feature_dim": 8},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=16,
-    )
-    tbl = pa.concat_tables([b for b in out.iter_batches(batch_format="pyarrow")])
+    tbl = _gather(
+        media, media_features_batch,
+        fn_kwargs={"decoder": "png", "feature_dim": 8}, batch_size=16)
     # scalar columns only (the float feature list is not part of the oracle
     # contract; geometry and integer pixel stats are)
     return tbl.select(
@@ -1732,8 +1809,6 @@ def multimodal_token_budget(
                       "text_tokens": pa.array([], pa.int64()),
                       "image_patches": pa.array([], pa.int64()),
                       "total_tokens": pa.array([], pa.int64())})
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return empty
     ds = _docs_sized(sf_dir, columns=["doc_id", "text"],
                      rows_per_block=1024).filter(expr=f"doc_id < {n}")
 
@@ -1755,10 +1830,7 @@ def multimodal_token_budget(
             "text_tokens": pa.array(out_t, pa.int64()),
             "image_patches": pa.array(out_p, pa.int64())})
 
-    tbl = _collect(
-        ds.map_batches(budget, batch_format="pyarrow", zero_copy_batch=True),
-        fallback_schema={"doc_id": pa.int64(), "text_tokens": pa.int64(),
-                         "image_patches": pa.int64()})
+    tbl = _gather(ds, budget)
     if tbl.num_rows == 0:
         return empty
     return tbl.append_column(
@@ -1805,14 +1877,9 @@ def audio_features(sf_dir: str, n: int = 64) -> pa.Table:
         )
 
     media = ds.map_batches(to_audio, batch_format="pyarrow", zero_copy_batch=True)
-    out = media.map_batches(
-        audio_features_batch,
-        fn_kwargs={"decoder": "wav", "feature_dim": 8},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=16,
-    )
-    tbl = pa.concat_tables([b for b in out.iter_batches(batch_format="pyarrow")])
+    tbl = _gather(
+        media, audio_features_batch,
+        fn_kwargs={"decoder": "wav", "feature_dim": 8}, batch_size=16)
     # scalar columns only (the float feature list stays out of the oracle)
     return tbl.select(
         ["media_ref", "media_type", "sample_rate", "channels", "n_samples",
@@ -1841,14 +1908,9 @@ def media_resize(sf_dir: str, n: int = 64, tw: int = 4, th: int = 4) -> pa.Table
         zero_copy_batch=True,
         batch_size=16,
     )
-    out = resized.map_batches(
-        media_features_batch,
-        fn_kwargs={"decoder": "png", "feature_dim": 8},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=16,
-    )
-    tbl = pa.concat_tables([b for b in out.iter_batches(batch_format="pyarrow")])
+    tbl = _gather(
+        resized, media_features_batch,
+        fn_kwargs={"decoder": "png", "feature_dim": 8}, batch_size=16)
     return tbl.select(
         ["media_ref", "media_type", "width", "height", "n_pixels", "pixel_sum",
          "decode_ok"]
@@ -1896,20 +1958,15 @@ def video_frames(sf_dir: str, n: int = 48, every_n: int = 2,
             }
         )
 
-    out = ds.map_batches(
-        to_video, batch_format="pyarrow", zero_copy_batch=True
-    ).map_batches(
+    tbl = _gather(
+        ds.map_batches(to_video, batch_format="pyarrow", zero_copy_batch=True),
         frame_sample_batch,
         fn_kwargs={
             "every_n": every_n,
             "max_frames": max_frames,
             "decoder": "framepack",
         },
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=16,
-    )
-    tbl = pa.concat_tables([b for b in out.iter_batches(batch_format="pyarrow")])
+        batch_size=16)
     return tbl.sort_by(
         [("media_ref", "ascending"), ("frame_index", "ascending")]
     )
@@ -1937,10 +1994,7 @@ def pii_scrub(sf_dir: str) -> pa.Table:
             }
         )
 
-    out = ds.map_batches(scrub, batch_format="pyarrow", zero_copy_batch=True)
-    return pa.concat_tables(
-        [b for b in out.iter_batches(batch_format="pyarrow")]
-    ).sort_by("doc_id")
+    return _gather(ds, scrub).sort_by("doc_id")
 
 
 def doc_chunks(sf_dir: str, chunk_tokens: int = 128) -> pa.Table:
@@ -1968,15 +2022,14 @@ def doc_chunks(sf_dir: str, chunk_tokens: int = 128) -> pa.Table:
                 out_n.append(rem)
         return pa.table(
             {
-                "doc_id": pa.array(out_id),
+                "doc_id": pa.array(out_id, pa.int64()),
                 "chunk_id": pa.array(out_chunk, pa.int64()),
                 "n_tokens": pa.array(out_n, pa.int64()),
             }
         )
 
-    out = ds.map_batches(chunk, batch_format="pyarrow", zero_copy_batch=True)
-    return pa.concat_tables(
-        [b for b in out.iter_batches(batch_format="pyarrow")]
+    return _gather(
+        ds, chunk
     ).sort_by([("doc_id", "ascending"), ("chunk_id", "ascending")])
 
 
@@ -2009,13 +2062,7 @@ def pdf_extract(sf_dir: str) -> pa.Table:
     pdfs = ds.map_batches(to_pdf, batch_format="pyarrow", zero_copy_batch=True)
     # task-pool form on warm workers (module-cached parser) — no actor-pool
     # spin-up; binary payloads keep batch_size small
-    out = pdfs.map_batches(
-        parse_pdf_batch,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=16,
-    )
-    tbl = pa.concat_tables([b for b in out.iter_batches(batch_format="pyarrow")])
+    tbl = _gather(pdfs, parse_pdf_batch, batch_size=16)
     return tbl.select(["doc_id", "n_blocks", "n_chars"]).sort_by("doc_id")
 
 
@@ -2091,7 +2138,7 @@ def dup_ngram_stats(sf_dir: str, n: int = 8) -> pa.Table:
          materialized gram table is ≤ the gate limit rows (~80 MB of
          int64 pairs at 5M) the partials merge on the driver (Ray's
          Aggregate costs ~10 ms/block regardless of rows — see
-         _merge_partials), else one distributed hash groupby over gram_h
+         _rollup), else one distributed hash groupby over gram_h
          (vocabulary-sized, not corpus-sized);
       3. the duplicated-gram key set flows back onto the gram↦doc table —
          BROADCAST via ``ray.put`` when ≤2M keys (~16 MB of int64), else a
@@ -2132,9 +2179,8 @@ def dup_ngram_stats(sf_dir: str, n: int = 8) -> pa.Table:
              "gram_h": pa.array(out_h, pa.int64())}
         )
 
-    gram_rows = ds.map_batches(
-        grams, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()  # consumed twice (counts + dup filter) — one gram pass
+    # consumed twice (counts + dup filter) — one gram pass
+    gram_rows = _materialize(ds, grams)
 
     def count_partial(batch: pa.Table) -> pa.Table:
         vc = pc.value_counts(batch.column("gram_h").combine_chunks())
@@ -2150,12 +2196,7 @@ def dup_ngram_stats(sf_dir: str, n: int = 8) -> pa.Table:
         # driver merge of the per-block partials (partial rows ≤ gram rows,
         # so the gate bounds the driver table); Ray's Aggregate fixed cost
         # (~10 ms/block of sort/combine) dwarfs this merge at bench scale
-        ptbl = _collect(
-            gram_rows.map_batches(
-                count_partial, batch_format="pyarrow", zero_copy_batch=True
-            ),
-            fallback_schema={"gram_h": pa.int64(), "nd": pa.int64()},
-        )
+        ptbl = _gather(gram_rows, count_partial)
         vocab = ptbl.group_by(["gram_h"]).aggregate([("nd", "sum")])
         dup_np = np.sort(
             vocab.filter(pc.greater_equal(vocab.column("nd_sum"), 2))
@@ -2218,16 +2259,15 @@ def dup_ngram_stats(sf_dir: str, n: int = 8) -> pa.Table:
     ).union(dup_rows.map_batches(tag(0, 1), batch_format="pyarrow", zero_copy_batch=True))
     if small:
         # same gate as above: tag partials are ≤ one row per (doc, block)
-        tbl = _merge_partials(
-            tagged, ["doc_id"], [("n_inc", "sum"), ("dup_inc", "sum")],
-            fallback_schema={"doc_id": pa.int64(), "n_inc": pa.int64(),
-                             "dup_inc": pa.int64()},
-        ).rename_columns(["doc_id", "n_grams", "dup_grams"])
+        # no gram rows → no tagged rows: merge tag()'s typed empty
+        parts = (_collect(tagged) if n_gram_rows
+                 else _gather(gram_rows, tag(1, 0)))
+        tbl = _merge(parts, ["doc_id"], [("n_inc", "sum"), ("dup_inc", "sum")]
+                     ).rename_columns(["doc_id", "n_grams", "dup_grams"])
     else:
         per_doc = tagged.groupby("doc_id").aggregate(Sum("n_inc"), Sum("dup_inc"))
-        tbl = pa.concat_tables(
-            [b for b in per_doc.iter_batches(batch_format="pyarrow")]
-        ).rename_columns(["doc_id", "n_grams", "dup_grams"])
+        tbl = _collect(
+            per_doc).rename_columns(["doc_id", "n_grams", "dup_grams"])
     ratio = np.floor(
         tbl.column("dup_grams").to_numpy().astype(np.float64)
         / tbl.column("n_grams").to_numpy() * 1e6 + 0.5
@@ -2306,11 +2346,7 @@ def decontaminate(
                  "n_hits": pa.array(out_h, pa.int64())}
             )
 
-        tbl = pa.concat_tables(
-            ds.map_batches(
-                score, batch_format="pyarrow", zero_copy_batch=True
-            ).iter_batches(batch_format="pyarrow")
-        )
+        tbl = _gather(ds, score)
     else:
         # corpus-scale eval set: distributed distinct + hash semi-join
         def corpus_rows(batch: pa.Table) -> pa.Table:
@@ -2339,9 +2375,7 @@ def decontaminate(
                  )}
             )
 
-        rows = ds.map_batches(
-            corpus_rows, batch_format="pyarrow", zero_copy_batch=True
-        ).materialize()
+        rows = _materialize(ds, corpus_rows)
         ev_keys = (
             ev.groupby("gram_h")
             .aggregate(Count())
@@ -2378,9 +2412,7 @@ def decontaminate(
             )
         )
         per_doc = tagged.groupby("doc_id").aggregate(Sum("n_inc"), Sum("hit_inc"))
-        tbl = pa.concat_tables(
-            [b for b in per_doc.iter_batches(batch_format="pyarrow")]
-        ).rename_columns(["doc_id", "n_grams", "n_hits"])
+        tbl = _collect(per_doc).rename_columns(["doc_id", "n_grams", "n_hits"])
 
     flag = pc.greater(tbl.column("n_hits"), 0)
     return tbl.append_column("contaminated", flag).sort_by("doc_id")
@@ -2464,9 +2496,7 @@ def dup_span_coverage(sf_dir: str, n: int = 8) -> pa.Table:
                  [1] * len(out_id) + [0] * len(tot_id), pa.int64())}
         )
 
-    rows = ds.map_batches(
-        gram_rows, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
+    rows = _materialize(ds, gram_rows)
 
     def count_partial(batch: pa.Table) -> pa.Table:
         g = batch.filter(pc.equal(batch.column("is_gram"), 1))
@@ -2475,11 +2505,7 @@ def dup_span_coverage(sf_dir: str, n: int = 8) -> pa.Table:
                          "cnt": pc.cast(vc.field("counts"), pa.int64())})
 
     if R.route("dup_span_coverage", D._metadata_row_count(rows)) == "driver":
-        ptbl = _collect(
-            rows.map_batches(count_partial, batch_format="pyarrow",
-                             zero_copy_batch=True),
-            fallback_schema={"gram_h": pa.int64(), "cnt": pa.int64()},
-        )
+        ptbl = _gather(rows, count_partial)
         vocab = ptbl.group_by(["gram_h"]).aggregate([("cnt", "sum")])
         dup_np = np.sort(
             vocab.filter(pc.greater_equal(vocab.column("cnt_sum"), 2))
@@ -2510,10 +2536,7 @@ def dup_span_coverage(sf_dir: str, n: int = 8) -> pa.Table:
                  "n_covered": pa.array(out_c, pa.int64())}
             )
 
-        tbl = pa.concat_tables(
-            ds.map_batches(cover, batch_format="pyarrow", zero_copy_batch=True)
-            .iter_batches(batch_format="pyarrow")
-        )
+        tbl = _gather(ds, cover)
     else:
         dup_keys = (
             rows.map_batches(count_partial, batch_format="pyarrow",
@@ -2543,11 +2566,10 @@ def dup_span_coverage(sf_dir: str, n: int = 8) -> pa.Table:
                      [_interval_union_len(starts, n, n_tok)], pa.int64())}
             )
 
-        tbl = pa.concat_tables(
+        tbl = _collect(
             tagged.groupby("doc_id").map_groups(
                 cover_group, batch_format="pyarrow"
-            ).iter_batches(batch_format="pyarrow")
-        )
+            ))
 
     kept = pc.subtract(tbl.column("n_tokens"), tbl.column("n_covered"))
     return tbl.append_column("n_kept", kept).sort_by("doc_id")
@@ -2574,14 +2596,14 @@ def doc_typicality(sf_dir: str) -> pa.Table:
     partials = ds.map_batches(_word_count_partial, batch_format="pyarrow",
                               zero_copy_batch=True)
     if R.route("doc_typicality", _footer_rows(path)) == "driver":
-        vocab = pa.concat_tables(
-            partials.iter_batches(batch_format="pyarrow")
+        vocab = _gather(
+            ds, _word_count_partial
         ).group_by(["term"]).aggregate([("n", "sum")])
         terms = np.array(vocab.column("term").to_pylist())
         counts = vocab.column("n_sum").to_numpy()
     else:
         vt = partials.groupby("term").aggregate(Sum("n"))
-        tbl = pa.concat_tables(vt.iter_batches(batch_format="pyarrow"))
+        tbl = _collect(vt)
         terms = np.array(tbl.column("term").to_pylist())
         counts = tbl.column(1).to_numpy()
     order = np.argsort(terms)
@@ -2611,10 +2633,7 @@ def doc_typicality(sf_dir: str) -> pa.Table:
              "sum_freq": pa.array(out_s, pa.int64())}
         )
 
-    return pa.concat_tables(
-        ds.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-        .iter_batches(batch_format="pyarrow")
-    ).sort_by("doc_id")
+    return _gather(ds, score).sort_by("doc_id")
 
 
 def bpe_first_merges(sf_dir: str, k: int = 10) -> pa.Table:
@@ -2649,8 +2668,8 @@ def bpe_first_merges(sf_dir: str, k: int = 10) -> pa.Table:
     partials = ds.map_batches(_word_count_partial, batch_format="pyarrow",
                               zero_copy_batch=True)
     if R.route("bpe_first_merges", _footer_rows(path)) == "driver":
-        vocab = pa.concat_tables(
-            partials.iter_batches(batch_format="pyarrow")
+        vocab = _gather(
+            ds, _word_count_partial
         ).group_by(["term"]).aggregate([("n", "sum")])
         agg = pair_counts(
             vocab.column("term").to_pylist(), vocab.column("n_sum").to_numpy()
@@ -2676,11 +2695,7 @@ def bpe_first_merges(sf_dir: str, k: int = 10) -> pa.Table:
                 t, sort_keys=[("n", "descending"), ("pair", "ascending")]
             )[:k])
 
-        agg = pa.concat_tables(
-            pair_ds.map_batches(block_topk, batch_format="pyarrow",
-                                zero_copy_batch=True)
-            .iter_batches(batch_format="pyarrow")
-        )
+        agg = _gather(pair_ds, block_topk)
     return agg.take(pc.sort_indices(
         agg, sort_keys=[("n", "descending"), ("pair", "ascending")]
     )[:k])
@@ -2722,16 +2737,14 @@ def conversion_funnel(
     partials = ds.map_batches(min_partial, batch_format="pyarrow",
                               zero_copy_batch=True)
     if R.route("conversion_funnel", _footer_rows(path)) == "driver":
-        per_user = _merge_partials(
-            partials, ["user_id", "event_type"], [("ts_us", "min")]
-        )
+        per_user = _rollup(
+            ds, min_partial, ["user_id", "event_type"], [("ts_us", "min")])
     else:
         agg = partials.groupby(["user_id", "event_type"]).aggregate(
             Min("ts_us")
         )
-        per_user = pa.concat_tables(
-            agg.iter_batches(batch_format="pyarrow")
-        ).rename_columns(["user_id", "event_type", "ts_us"])
+        per_user = _collect(
+            agg).rename_columns(["user_id", "event_type", "ts_us"])
 
     et = per_user.column("event_type").to_numpy(zero_copy_only=False)
     uid = per_user.column("user_id").to_numpy()
@@ -2786,9 +2799,8 @@ def delta_dedup(sf_dir: str, new_mod: int = 10, new_rem: int = 0) -> pa.Table:
              "digest": pa.array(dig, pa.int64())}
         )
 
-    keyed = ds.map_batches(
-        norm_digest, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()  # consumed by both the corpus side and the new side
+    # consumed by both the corpus side and the new side
+    keyed = _materialize(ds, norm_digest)
 
     def old_partial(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy()
@@ -2816,9 +2828,7 @@ def delta_dedup(sf_dir: str, new_mod: int = 10, new_rem: int = 0) -> pa.Table:
             + [np.array([], np.int64)]
         ))
         keys_ref = ray.put(corpus_keys)
-        first_tbl = pa.concat_tables(
-            first_new.iter_batches(batch_format="pyarrow")
-        ).rename_columns(["digest", "first_doc"])
+        first_tbl = _collect(first_new).rename_columns(["digest", "first_doc"])
         fmap_ref = ray.put(dict(zip(
             first_tbl.column("digest").to_pylist(),
             first_tbl.column("first_doc").to_pylist(),
@@ -2847,11 +2857,7 @@ def delta_dedup(sf_dir: str, new_mod: int = 10, new_rem: int = 0) -> pa.Table:
                  "keep": pa.array(~(in_corpus | dup_of_new))}
             )
 
-        tbl = pa.concat_tables(
-            new_rows.map_batches(score, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-            .iter_batches(batch_format="pyarrow")
-        )
+        tbl = _gather(new_rows, score)
     else:
         # pre-combine corpus membership and batch-first into ONE per-digest
         # side table, so the row attachment is a single hash join (Ray
@@ -2905,11 +2911,7 @@ def delta_dedup(sf_dir: str, new_mod: int = 10, new_rem: int = 0) -> pa.Table:
                  "keep": pa.array(~(in_corpus | dup_of_new))}
             )
 
-        tbl = pa.concat_tables(
-            joined.map_batches(finish, batch_format="pyarrow",
-                               zero_copy_batch=True)
-            .iter_batches(batch_format="pyarrow")
-        )
+        tbl = _gather(joined, finish)
     return tbl.sort_by("doc_id")
 
 
@@ -2963,7 +2965,7 @@ def latest_event_per_user(sf_dir: str) -> pa.Table:
     partials = ds.map_batches(last_partial, batch_format="pyarrow",
                               zero_copy_batch=True)
     if R.route("latest_event_per_user", n_rows) == "driver":
-        tbl = pa.concat_tables(partials.iter_batches(batch_format="pyarrow"))
+        tbl = _gather(ds, last_partial)
         keep = tbl.take(pa.array(_lex_last_per_user(
             tbl.column("user_id").to_numpy(),
             tbl.column("ts_us").to_numpy(),
@@ -2989,10 +2991,8 @@ def latest_event_per_user(sf_dir: str) -> pa.Table:
             num_partitions=D._default_join_partitions(mat),
             on=("user_id", "event_id"),
         )
-        keep = pa.concat_tables(
-            final.select_columns(["user_id", "ts_us", "event_id", "value_c"])
-            .iter_batches(batch_format="pyarrow")
-        )
+        keep = _collect(
+            final.select_columns(["user_id", "ts_us", "event_id", "value_c"]))
 
     return pa.table(
         {"user_id": keep.column("user_id"),
@@ -3033,10 +3033,7 @@ def hashed_features(sf_dir: str, n_buckets: int = 8) -> pa.Table:
             data[c] = pa.array(vecs[:, i], pa.int64())
         return pa.table(data)
 
-    return pa.concat_tables(
-        ds.map_batches(feats, batch_format="pyarrow", zero_copy_batch=True)
-        .iter_batches(batch_format="pyarrow")
-    ).sort_by("doc_id")
+    return _gather(ds, feats).sort_by("doc_id")
 
 
 _GATE_STOPWORDS = frozenset({"the", "a", "of"})
@@ -3086,10 +3083,7 @@ def quality_gate(sf_dir: str) -> pa.Table:
              "reason": pa.array(out_r, pa.string())}
         )
 
-    tbl = pa.concat_tables(
-        ds.map_batches(gate, batch_format="pyarrow", zero_copy_batch=True)
-        .iter_batches(batch_format="pyarrow")
-    )
+    tbl = _gather(ds, gate)
     return tbl.append_column(
         "keep", pc.equal(tbl.column("reason"), "keep")
     ).sort_by("doc_id")
@@ -3126,10 +3120,9 @@ def label_centroids(sf_dir: str, n_dims: int = 4) -> pa.Table:
                 [int(q[labels == u, i].sum()) for u in uniq], pa.int64())
         return pa.table(data)
 
-    m = _merge_partials(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        ["label"], [("n", "sum")] + [(c, "sum") for c in sum_cols],
-    )
+    m = _rollup(
+        ds, partial, ["label"],
+        [("n", "sum")] + [(c, "sum") for c in sum_cols])
     return m.sort_by("label")
 
 
@@ -3152,13 +3145,10 @@ def dsir_weights(
     Scale shape: pass 1 reduces the corpus to per-block bucket-count
     partials of FIXED width ``n_buckets`` (the point of DSIR's hashing —
     the model never grows with the corpus), merged on the driver
-    (bounded cardinality, see ``_merge_partials``); pass 2 broadcasts the
+    (bounded cardinality, see ``_rollup``); pass 2 broadcasts the
     two count vectors once via ``ray.put`` and each doc scores itself
     in-batch with two ``np.take``-style gathers.  No shuffle anywhere.
     """
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return pa.table({c: pa.array([], pa.int64()) for c in
-                         ["doc_id", "n_bigrams", "sum_target", "sum_corpus"]})
     path = f"{sf_dir}/documents.parquet"
     ds = _read_sized(path, columns=["doc_id", "text", "lang"],
                      rows_per_block=1024)
@@ -3192,11 +3182,9 @@ def dsir_weights(
              "n_corpus": pa.array(n_corpus, pa.int64())}
         )
 
-    m = _merge_partials(
-        ds.map_batches(count_partial, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        ["bucket"], [("n_target", "sum"), ("n_corpus", "sum")],
-    ).sort_by("bucket")
+    m = _rollup(
+        ds, count_partial, ["bucket"],
+        [("n_target", "sum"), ("n_corpus", "sum")]).sort_by("bucket")
     model_ref = ray.put((m.column("n_target").to_numpy(),
                          m.column("n_corpus").to_numpy()))
 
@@ -3220,10 +3208,7 @@ def dsir_weights(
              "sum_corpus": pa.array(out_c, pa.int64())}
         )
 
-    return pa.concat_tables(
-        ds.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-        .iter_batches(batch_format="pyarrow")
-    ).sort_by("doc_id")
+    return _gather(ds, score).sort_by("doc_id")
 
 
 def hard_negatives(sf_dir: str, n_queries: int = 4, k: int = 5) -> pa.Table:
@@ -3236,10 +3221,6 @@ def hard_negatives(sf_dir: str, n_queries: int = 4, k: int = 5) -> pa.Table:
     per-block partial top-k combiners, driver merge of blocks × nq × k
     rows) plus a vectorized per-block label mask; the query labels ride
     the same pruned parquet point read as the query vectors."""
-    if _footer_rows(f"{sf_dir}/embeddings.parquet") == 0:
-        return pa.table({"query_id": pa.array([], pa.int64()),
-                         "neighbor_id": pa.array([], pa.int64()),
-                         "rank": pa.array([], pa.int32())})
     ds = ray.data.read_parquet(
         f"{sf_dir}/embeddings.parquet",
         columns=["vec_id", "label", "embedding"],
@@ -3294,8 +3275,7 @@ def balanced_shards(sf_dir: str, n_shards: int = 8) -> pa.Table:
              "n": pa.array([batch.num_rows], pa.int64())}
         )
 
-    meta = _collect(ds.map_batches(block_meta, batch_format="pyarrow",
-                                   batch_size=None, zero_copy_batch=True))
+    meta = _gather(ds, block_meta, batch_size=None)
     fc = meta.column("first_chars").to_numpy()
     fi = meta.column("first_id").to_numpy()
     ns = meta.column("n").to_numpy()
@@ -3329,12 +3309,11 @@ def balanced_shards(sf_dir: str, n_shards: int = 8) -> pa.Table:
                  np.maximum.reduceat(rks, starts), pa.int64())}
         )
 
-    m = _merge_partials(
-        ds.map_batches(assign, batch_format="pyarrow", batch_size=None,
-                       zero_copy_batch=True),
-        ["shard"], [("n_docs", "sum"), ("total_chars", "sum"),
-                    ("first_rank", "min"), ("last_rank", "max")],
-    )
+    m = _rollup(
+        ds, assign, ["shard"],
+        [("n_docs", "sum"), ("total_chars", "sum"),
+         ("first_rank", "min"), ("last_rank", "max")],
+        batch_size=None)
     return m.sort_by("shard")
 
 
@@ -3357,12 +3336,8 @@ def semantic_dedup(sf_dir: str, threshold: float = 0.25) -> pa.Table:
     fixed as the corpus grows (more clusters, not bigger ones).  The
     corpus-wide all-pairs alternative lives in ``embedding_neardup``.
     """
-    from ..stages.similarity import _to_matrix
+    from ..stages.similarity import _as_matrix, _to_matrix
 
-    if _footer_rows(f"{sf_dir}/embeddings.parquet") == 0:
-        return pa.table({"vec_id": pa.array([], pa.int64()),
-                         "label": pa.array([], pa.int32()),
-                         "keep": pa.array([], pa.bool_())})
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
                                columns=["vec_id", "label", "embedding"])
 
@@ -3370,7 +3345,7 @@ def semantic_dedup(sf_dir: str, threshold: float = 0.25) -> pa.Table:
         ids = batch.column("vec_id").to_numpy(zero_copy_only=False).astype(
             np.int64, copy=False)
         order = np.argsort(ids)
-        mat = _to_matrix(batch, "embedding").astype(np.float64)[order]
+        mat = _as_matrix(_to_matrix(batch, "embedding"), np.float64)[order]
         norms = np.linalg.norm(mat, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         matn = mat / norms
@@ -3442,11 +3417,10 @@ def zorder_layout(sf_dir: str, n_files: int = 16) -> pa.Table:
              "max_h": pa.array([int(h.max())], pa.int64())}
         )
 
-    b = _merge_partials(
-        ds.map_batches(bounds, batch_format="pyarrow", zero_copy_batch=True),
-        ["one"], [("min_u", "min"), ("max_u", "max"),
-                  ("min_h", "min"), ("max_h", "max")],
-    )
+    b = _rollup(
+        ds, bounds, ["one"],
+        [("min_u", "min"), ("max_u", "max"),
+         ("min_h", "min"), ("max_h", "max")])
     u_min, u_max = b.column("min_u")[0].as_py(), b.column("max_u")[0].as_py()
     h_min, h_max = b.column("min_h")[0].as_py(), b.column("max_h")[0].as_py()
     u_rng, h_rng = max(u_max - u_min, 1), max(h_max - h_min, 1)
@@ -3480,12 +3454,10 @@ def zorder_layout(sf_dir: str, n_files: int = 16) -> pa.Table:
                  np.maximum.reduceat(h_raw[o], starts), pa.int64())}
         )
 
-    m = _merge_partials(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        ["zbucket"],
+    m = _rollup(
+        ds, partial, ["zbucket"],
         [("n_events", "sum"), ("min_user", "min"), ("max_user", "max"),
-         ("min_hour", "min"), ("max_hour", "max")],
-    )
+         ("min_hour", "min"), ("max_hour", "max")])
     return m.sort_by("zbucket")
 
 
@@ -3513,9 +3485,6 @@ def heavy_hitters(
     """
     from collections import Counter
 
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return pa.table({"bigram": pa.array([], pa.string()),
-                         "n": pa.array([], pa.int64())})
     path = f"{sf_dir}/documents.parquet"
     ds = _read_sized(path, columns=["text"], rows_per_block=512)
     SENTINEL = "__TOTAL__"  # tokens are [a-z0-9]+ — cannot collide
@@ -3548,10 +3517,8 @@ def heavy_hitters(
              "n": pa.array(list(counters.values()) + [total], pa.int64())}
         )
 
-    sketch = _collect(
-        ds.map_batches(mg_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-    ).group_by(["bigram"]).aggregate([("n", "sum")])
+    sketch = _gather(
+        ds, mg_partial).group_by(["bigram"]).aggregate([("n", "sum")])
     terms = np.array(sketch.column("bigram").to_pylist())
     is_total = terms == SENTINEL
     n_total = int(sketch.column("n_sum").to_numpy()[is_total].sum())
@@ -3577,10 +3544,7 @@ def heavy_hitters(
              "n": pa.array(c[nz], pa.int64())}
         )
 
-    exact = _merge_partials(
-        ds.map_batches(recount, batch_format="pyarrow", zero_copy_batch=True),
-        ["bigram"], [("n", "sum")],
-    )
+    exact = _rollup(ds, recount, ["bigram"], [("n", "sum")])
     bs = np.array(exact.column("bigram").to_pylist())
     ns = exact.column("n").to_numpy()
     order = np.lexsort((bs, -ns))
@@ -3619,10 +3583,7 @@ def heavy_hitters(
                 ("n", "descending"), ("bigram", "ascending")])
             return b.take(idx[:k])
 
-        vt = _collect(
-            grouped.map_batches(block_topk, batch_format="pyarrow",
-                                zero_copy_batch=True),
-            fallback_schema={"bigram": pa.string(), "n": pa.int64()})
+        vt = _gather(grouped, block_topk)
         bs = np.array(vt.column("bigram").to_pylist())
         ns = vt.column("n").to_numpy()
         order = np.lexsort((bs, -ns))
@@ -3683,9 +3644,6 @@ def winnow_fingerprints(
     shuffle, no state; output is fingerprint rows (docs emit ~n_grams /
     window rows each).  Docs with fewer than ``window`` grams emit none.
     """
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return pa.table({c: pa.array([], pa.int64()) for c in
-                         ["doc_id", "pos", "gram_h"]})
     ds = _docs_sized(sf_dir, columns=["doc_id", "text"], rows_per_block=1024)
 
     def winnow(batch: pa.Table) -> pa.Table:
@@ -3703,11 +3661,8 @@ def winnow_fingerprints(
              "gram_h": pa.array(out_h, pa.int64())}
         )
 
-    return _collect(
-        ds.map_batches(winnow, batch_format="pyarrow", zero_copy_batch=True),
-        fallback_schema={"doc_id": pa.int64(), "pos": pa.int64(),
-                         "gram_h": pa.int64()},
-    ).sort_by([("doc_id", "ascending"), ("pos", "ascending")])
+    return _gather(
+        ds, winnow).sort_by([("doc_id", "ascending"), ("pos", "ascending")])
 
 
 def centroid_outliers(sf_dir: str, n_dims: int = 4, k: int = 5) -> pa.Table:
@@ -3731,12 +3686,6 @@ def centroid_outliers(sf_dir: str, n_dims: int = 4, k: int = 5) -> pa.Table:
     in the global top-k is in its block's top-k under the same total
     order, so the driver merge sees ≤ blocks × labels × k rows.
     """
-    if _footer_rows(f"{sf_dir}/embeddings.parquet") == 0:
-        return pa.table({"label": pa.array([], pa.int32()),
-                         "rank": pa.array([], pa.int64()),
-                         "vec_id": pa.array([], pa.int64()),
-                         "d2q": pa.array([], pa.int64()),
-                         "n": pa.array([], pa.int64())})
     Q = 10_000
     ds = _read_sized(f"{sf_dir}/embeddings.parquet",
                      columns=["vec_id", "label", "embedding"])
@@ -3763,10 +3712,8 @@ def centroid_outliers(sf_dir: str, n_dims: int = 4, k: int = 5) -> pa.Table:
                 [int(q[labels == u, i].sum()) for u in uniq], pa.int64())
         return pa.table(data)
 
-    cent = _merge_partials(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        ["label"], [("n", "sum")] + [(c, "sum") for c in s_cols],
-    )
+    cent = _rollup(
+        ds, partial, ["label"], [("n", "sum")] + [(c, "sum") for c in s_cols])
     lab = cent.column("label").to_numpy()
     order = np.argsort(lab)
     cent_ref = ray.put((
@@ -3794,8 +3741,7 @@ def centroid_outliers(sf_dir: str, n_dims: int = 4, k: int = 5) -> pa.Table:
              "n": pa.array(ns[idx][sel], pa.int64())}
         )
 
-    tbl = _collect(ds.map_batches(cand, batch_format="pyarrow",
-                                  zero_copy_batch=True))
+    tbl = _gather(ds, cand)
     labels = tbl.column("label").to_numpy()
     d2 = tbl.column("d2q").to_numpy()
     ids = tbl.column("vec_id").to_numpy()
@@ -3834,7 +3780,7 @@ def sink_roundtrip(sf_dir: str, out_root: str | None = None) -> pa.Table:
     root = out_root or tempfile.mkdtemp(prefix="sink_roundtrip_")
     try:
         ds.write_parquet(root, partition_cols=["lang"])
-        back = ray.data.read_parquet(root, columns=["lang", "n_chars"])
+        back = _read_back(root, ds, ["lang", "n_chars"])
 
         def partial(batch: pa.Table) -> pa.Table:
             # hive partition values read back dictionary-encoded — decode
@@ -3845,10 +3791,10 @@ def sink_roundtrip(sf_dir: str, out_root: str | None = None) -> pa.Table:
                 [("n_chars", "count"), ("n_chars", "sum")]
             ).rename_columns(["lang", "n_docs", "total_chars"])
 
-        p = back.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-        m = _merge_partials(p, ["lang"], [("n_docs", "sum"),
-                                          ("total_chars", "sum")])
+        m = _rollup(
+            back, partial, ["lang"],
+            [("n_docs", "sum"),
+             ("total_chars", "sum")])
         return pa.table(
             {"lang": m.column("lang"),
              "n_docs": pc.cast(m.column("n_docs"), pa.int64()),
@@ -3956,10 +3902,7 @@ def decontaminate_bloom(
              "n_hits_bloom": pa.array(out_h, pa.int64())}
         )
 
-    tbl = pa.concat_tables(
-        ds.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-        .iter_batches(batch_format="pyarrow")
-    )
+    tbl = _gather(ds, score)
     flag = pc.greater(tbl.column("n_hits_bloom"), 0)
     return tbl.append_column("contaminated", flag).sort_by("doc_id")
 
@@ -4015,7 +3958,7 @@ def events_range_join(sf_dir: str, n_windows: int = 20) -> pa.Table:
     statistics, i.e. without scanning the data — broadcast into the map
     stage, and each batch computes vectorized containment masks per
     window; only (campaign_id, count, cents) partials leave the batch,
-    merged under the bounded-cardinality driver gate (_merge_partials).
+    merged under the bounded-cardinality driver gate (_rollup).
     No shuffle at any input scale.  A corpus-sized interval side would
     instead hash-partition both sides by a coarse time bucket and join
     within buckets (the events_sessions partitioning pattern).
@@ -4029,11 +3972,13 @@ def events_range_join(sf_dir: str, n_windows: int = 20) -> pa.Table:
         from ray.data.aggregate import Max, Min
 
         row = _read_sized(path, columns=["ts"]).aggregate(Min("ts"), Max("ts"))
-        bounds = (
+        bounds = None if row["min(ts)"] is None else (
             np.datetime64(row["min(ts)"], "us").astype(np.int64),
             np.datetime64(row["max(ts)"], "us").astype(np.int64),
         )
-    e0, e1 = bounds
+    # no events, no time bounds: the windows' own bounds are NULL, as in
+    # the oracle's ungrouped min/max
+    e0, e1 = bounds or (0, 0)
     stride = max((e1 - e0) // (n_windows + 4), 1)
     lo = e0 + stride * np.arange(n_windows, dtype=np.int64)
     hi = lo + 3 * stride
@@ -4056,17 +4001,15 @@ def events_range_join(sf_dir: str, n_windows: int = 20) -> pa.Table:
              "sum_value_c": pa.array(sums, pa.int64())}
         )
 
-    partials = ds.map_batches(
-        contain, batch_format="pyarrow", zero_copy_batch=True
-    )
-    merged = _merge_partials(
-        partials, ["campaign_id"],
-        [("n_events", "sum"), ("sum_value_c", "sum")],
-    )
+    merged = _rollup(
+        ds, contain, ["campaign_id"],
+        [("n_events", "sum"), ("sum_value_c", "sum")])
+    ids = merged.column("campaign_id").to_numpy()
+    unbounded = np.full(len(ids), bounds is None)
     out = merged.append_column(
-        "lo_us", pa.array(lo[merged.column("campaign_id").to_numpy()], pa.int64())
+        "lo_us", pa.array(lo[ids], pa.int64(), mask=unbounded)
     ).append_column(
-        "hi_us", pa.array(hi[merged.column("campaign_id").to_numpy()], pa.int64())
+        "hi_us", pa.array(hi[ids], pa.int64(), mask=unbounded)
     )
     return out.select(
         ["campaign_id", "lo_us", "hi_us", "n_events", "sum_value_c"]
@@ -4104,11 +4047,9 @@ def tfidf_top_terms(sf_dir: str, k: int = 3) -> pa.Table:
              "df": pa.array(list(c.values()), pa.int64())}
         )
 
-    df_tbl = pa.concat_tables(
+    df_tbl = _collect(
         ds.map_batches(df_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("term").aggregate(Sum("df"))
-        .iter_batches(batch_format="pyarrow")
-    ).rename_columns(["term", "df"])
+        .groupby("term").aggregate(Sum("df"))).rename_columns(["term", "df"])
     df_ref = ray.put(dict(zip(df_tbl.column("term").to_pylist(),
                               df_tbl.column("df").to_pylist())))
 
@@ -4136,10 +4077,8 @@ def tfidf_top_terms(sf_dir: str, k: int = 3) -> pa.Table:
              "tfidf": pa.array(out_score, pa.float64())}
         )
 
-    out = ds.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-    return pa.concat_tables(
-        [b for b in out.iter_batches(batch_format="pyarrow")]
-    ).sort_by([("doc_id", "ascending"), ("rank", "ascending")])
+    return _gather(
+        ds, score).sort_by([("doc_id", "ascending"), ("rank", "ascending")])
 
 
 def events_rolling(
@@ -4207,9 +4146,7 @@ def events_rolling(
     cols = ["event_id", "user_id", "ts", "value"]
 
     if R.route("events_rolling", n_rows) == "driver":
-        tbl = pa.concat_tables(
-            _read_sized(path, columns=cols).iter_batches(batch_format="pyarrow")
-        )
+        tbl = _collect(_read_sized(path, columns=cols))
         ts, eid, cents = group_cols(tbl)
         uid = tbl.column("user_id").to_numpy()
         order = np.lexsort((eid, ts, uid))
@@ -4237,9 +4174,7 @@ def events_rolling(
                            group.column("user_id")[0].as_py())
 
     out = ds.groupby("user_id").map_groups(roll_group, batch_format="pyarrow")
-    return pa.concat_tables(
-        [b for b in out.iter_batches(batch_format="pyarrow")]
-    ).sort_by("event_id")
+    return _collect(out).sort_by("event_id")
 
 
 def events_quantiles(
@@ -4297,7 +4232,8 @@ def events_quantiles(
     )
 
     if R.route("events_quantiles", n_rows) == "driver":
-        tbl = pa.concat_tables(ds.iter_batches(batch_format="pyarrow"))
+        tbl = _gather(
+            _read_sized(path, columns=["event_type", "value"]), project)
         types = tbl.column("event_type").to_numpy(zero_copy_only=False)
         vals = tbl.column("v_c").to_numpy()
         return qtable({et: vals[types == et] for et in np.unique(types)})
@@ -4307,9 +4243,7 @@ def events_quantiles(
         return qtable({et: group.column("v_c").to_numpy()})
 
     out = ds.groupby("event_type").map_groups(per_type, batch_format="pyarrow")
-    return pa.concat_tables(
-        out.iter_batches(batch_format="pyarrow")
-    ).sort_by("event_type")
+    return _collect(out).sort_by("event_type")
 
 
 def events_quantiles_sketch(
@@ -4341,7 +4275,8 @@ def events_quantiles_sketch(
         row = _read_sized(path, columns=["value"]).aggregate(
             Min("value"), Max("value")
         )
-        bounds = (row["min(value)"], row["max(value)"])
+        # an empty table has no bounds: any bin edges serve zero rows
+        bounds = (row["min(value)"] or 0.0, row["max(value)"] or 0.0)
     lo_c = int(np.floor(bounds[0] * 100))
     hi_c = int(np.ceil(bounds[1] * 100)) + 1
     width = max(-((lo_c - hi_c) // n_bins), 1)  # ceil div in int cents
@@ -4363,18 +4298,16 @@ def events_quantiles_sketch(
              "cnt": pa.array(out_n, pa.int64())}
         )
 
-    ds = _read_sized(path, columns=["event_type", "value"]).map_batches(
-        partial, batch_format="pyarrow", zero_copy_batch=True
-    )
+    ds = _read_sized(path, columns=["event_type", "value"])
     if R.route("events_quantiles_sketch", _footer_rows(path)) == "driver":
-        hist = _merge_partials(ds, ["event_type", "bin"], [("cnt", "sum")])
+        hist = _rollup(ds, partial, ["event_type", "bin"], [("cnt", "sum")])
     else:
         from ray.data.aggregate import Sum
 
-        merged = ds.groupby(["event_type", "bin"]).aggregate(Sum("cnt"))
-        hist = pa.concat_tables(
-            merged.iter_batches(batch_format="pyarrow")
-        ).rename_columns(["event_type", "bin", "cnt"])
+        merged = ds.map_batches(
+            partial, batch_format="pyarrow", zero_copy_batch=True
+        ).groupby(["event_type", "bin"]).aggregate(Sum("cnt"))
+        hist = _collect(merged).rename_columns(["event_type", "bin", "cnt"])
 
     # quantile read-out from the ≤ types × n_bins histogram
     cols: dict[str, list] = {"event_type": []}
@@ -4397,7 +4330,7 @@ def events_quantiles_sketch(
             cols[f"p{int(q * 100)}_c"].append(lo_c + b * width + width // 2)
         cols["n"].append(n)
     out = pa.table(
-        {k: (pa.array(v) if k == "event_type" else pa.array(v, pa.int64()))
+        {k: pa.array(v, pa.string() if k == "event_type" else pa.int64())
          for k, v in cols.items()}
     )
     return out.append_column(
@@ -4493,7 +4426,7 @@ def customers_without_orders(
         on=("c_custkey",), right_on=("o_custkey",),
     )
     agg = left.groupby("c_mktsegment").aggregate(Count())
-    tbl = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    tbl = _collect(agg)
     tbl = tbl.rename_columns(["c_mktsegment", "n_no_orders"])
     tbl = tbl.set_column(
         1, "n_no_orders", pc.cast(tbl.column("n_no_orders"), pa.int64())
@@ -4530,7 +4463,9 @@ def events_user_counts(sf_dir: str) -> pa.Table:
     )
 
     if R.route("events_user_counts", n_rows) == "driver":
-        tbl = pa.concat_tables(ds.iter_batches(batch_format="pyarrow"))
+        tbl = _gather(
+            _read_sized(path, columns=["event_type", "user_id"]),
+            pair_distinct)
         types = tbl.column("event_type").to_numpy(zero_copy_only=False)
         uids = tbl.column("user_id").to_numpy()
         order = np.lexsort((uids, types))
@@ -4550,7 +4485,7 @@ def events_user_counts(sf_dir: str) -> pa.Table:
     agg = distinct.select_columns(["event_type"]).groupby(
         "event_type"
     ).aggregate(Count())
-    tbl = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    tbl = _collect(agg)
     tbl = tbl.rename_columns(["event_type", "n_users"])
     return tbl.set_column(
         1, "n_users", pc.cast(tbl.column("n_users"), pa.int64())
@@ -4624,7 +4559,7 @@ def events_user_counts_hll(sf_dir: str) -> pa.Table:
             prev = merged.get(t)
             merged[t] = regs if prev is None else np.maximum(prev, regs)
     return pa.table(
-        {"event_type": pa.array(sorted(merged)),
+        {"event_type": pa.array(sorted(merged), pa.string()),
          "n_users_est": pa.array(
              [int(round(_hll_estimate(merged[t]))) for t in sorted(merged)],
              pa.int64(),
@@ -4701,9 +4636,7 @@ def q3_top_orders(
         return b.filter(pa.array(ks[idx] == ck)).select(["o_orderkey", "o_orderdate"])
 
     if cust_small:
-        ords = orders.map_batches(
-            filter_orders, batch_format="pyarrow", zero_copy_batch=True
-        ).materialize()
+        ords = _materialize(orders, filter_orders)
     else:
         cust_filtered = customers.map_batches(
             cust_keys, batch_format="pyarrow", zero_copy_batch=True
@@ -4772,12 +4705,9 @@ def q3_top_orders(
             ).filter(pa.array(hit))
             return p.select(["o_orderkey", "o_orderdate_us", "rev_c4_sum"])
 
-        partials = lineitem.map_batches(
-            join_and_partial, batch_format="pyarrow", zero_copy_batch=True
-        )
-        agg = _merge_partials(
-            partials, ["o_orderkey", "o_orderdate_us"], [("rev_c4_sum", "sum")]
-        )
+        agg = _rollup(
+            lineitem, join_and_partial, ["o_orderkey", "o_orderdate_us"],
+            [("rev_c4_sum", "sum")])
     else:
         joined = lineitem.map_batches(
             rev_partial, batch_format="pyarrow", zero_copy_batch=True
@@ -4802,10 +4732,8 @@ def q3_top_orders(
             t = t.sort_by([("rev_c4_sum", "descending"), ("o_orderkey", "ascending")])
             return t.slice(0, k)
 
-        agg = _collect(
-            per_order.map_batches(
-                topk_partial, batch_format="pyarrow", zero_copy_batch=True
-            )
+        agg = _gather(
+            per_order, topk_partial
         ).select(["o_orderkey", "o_orderdate_us", "rev_c4_sum"])
 
     agg = agg.sort_by(
@@ -4852,10 +4780,7 @@ def normalize_text(sf_dir: str) -> pa.Table:
              "norm_md5": md5}
         )
 
-    out = ds.map_batches(norm, batch_format="pyarrow", zero_copy_batch=True)
-    return pa.concat_tables(
-        out.iter_batches(batch_format="pyarrow")
-    ).sort_by("doc_id")
+    return _gather(ds, norm).sort_by("doc_id")
 
 
 def split_assign(sf_dir: str) -> pa.Table:
@@ -4874,14 +4799,13 @@ def split_assign(sf_dir: str) -> pa.Table:
         bk = np.array([_md5_bucket(i, 100) for i in ids])
         split = np.where(bk < 80, "train", np.where(bk < 90, "valid", "test"))
         return pa.table(
-            {"split": pa.array(split.tolist()),
+            {"split": pa.array(split.tolist(), pa.string()),
              "lang": batch.column("lang")}
         ).group_by(["split", "lang"]).aggregate(
             [("lang", "count")]
         ).rename_columns(["split", "lang", "n_docs"])
 
-    p = ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-    return _merge_partials(p, ["split", "lang"], [("n_docs", "sum")]).sort_by(
+    return _rollup(ds, tag, ["split", "lang"], [("n_docs", "sum")]).sort_by(
         [("split", "ascending"), ("lang", "ascending")]
     )
 
@@ -4904,17 +4828,14 @@ def corpus_shuffle(sf_dir: str, seed: str = "shuffle42", k: int = 50) -> pa.Tabl
     def keyed_topk(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
         keys = pa.array(
-            [hashlib.md5(f"{seed}:{i}".encode()).hexdigest() for i in ids]
-        )
+            [hashlib.md5(f"{seed}:{i}".encode()).hexdigest() for i in ids],
+            pa.string())
         t = pa.table({"doc_id": batch.column("doc_id"), "shuffle_key": keys})
         return t.take(pc.sort_indices(
             t, sort_keys=[("shuffle_key", "ascending"), ("doc_id", "ascending")]
         )[:k])
 
-    partials = ds.map_batches(
-        keyed_topk, batch_format="pyarrow", zero_copy_batch=True
-    )
-    tbl = pa.concat_tables(partials.iter_batches(batch_format="pyarrow"))
+    tbl = _gather(ds, keyed_topk)
     tbl = tbl.take(pc.sort_indices(
         tbl, sort_keys=[("shuffle_key", "ascending"), ("doc_id", "ascending")]
     )[:k])
@@ -4962,10 +4883,7 @@ def repetition_stats(sf_dir: str) -> pa.Table:
             out["top_bigram_n"].append(int(counts.max()))
         return pa.table({k: pa.array(v, pa.int64()) for k, v in out.items()})
 
-    tbl = pa.concat_tables(
-        ds.map_batches(stats, batch_format="pyarrow", zero_copy_batch=True)
-        .iter_batches(batch_format="pyarrow")
-    )
+    tbl = _gather(ds, stats)
     nb = tbl.column("n_bigrams").to_numpy().astype(np.float64)
     db = tbl.column("distinct_bigrams").to_numpy().astype(np.float64)
     frac = np.floor((nb - db) * 1e6 / nb + 0.5) / 1e6
@@ -5027,7 +4945,7 @@ def inverted_index(sf_dir: str, k: int = 20) -> pa.Table:
         term_partials, batch_format="pyarrow", zero_copy_batch=True
     )
     if R.route("inverted_index", _footer_rows(path)) == "driver":
-        ptbl = pa.concat_tables(partials.iter_batches(batch_format="pyarrow"))
+        ptbl = _gather(ds, term_partials)
         agg = ptbl.group_by(["term"]).aggregate(
             [("df", "sum"), ("tf_total", "sum"),
              ("first_doc", "min"), ("last_doc", "max")]
@@ -5047,11 +4965,7 @@ def inverted_index(sf_dir: str, k: int = 20) -> pa.Table:
 
         # per-block top-k after the groupby: only blocks × k rows reach the
         # driver, never the vocabulary
-        agg = pa.concat_tables(
-            out.map_batches(block_topk, batch_format="pyarrow",
-                            zero_copy_batch=True)
-            .iter_batches(batch_format="pyarrow")
-        )
+        agg = _gather(out, block_topk)
     order = pc.sort_indices(
         agg, sort_keys=[("df", "descending"), ("term", "ascending")]
     )[:k]
@@ -5090,12 +5004,8 @@ def events_pivot(
         types = ["click", "error", "purchase", "signup", "view"]
     elif not types:
         types = sorted(
-            _merge_partials(
-                ds.map_batches(type_partial, batch_format="pyarrow",
-                               zero_copy_batch=True),
-                ["event_type"], [("n", "sum")],
-                fallback_schema={"event_type": pa.string(),
-                                 "n": pa.int64()},
+            _rollup(
+                ds, type_partial, ["event_type"], [("n", "sum")]
             ).column("event_type").to_pylist()
         )
     else:
@@ -5123,16 +5033,14 @@ def events_pivot(
         pivot_partial, batch_format="pyarrow", zero_copy_batch=True
     )
     if R.route("events_pivot", _footer_rows(path)) == "driver":
-        tbl = _merge_partials(
-            partials, ["user_id"], [(c, "sum") for c in cols + ["n_total"]]
-        )
+        tbl = _rollup(
+            ds, pivot_partial, ["user_id"],
+            [(c, "sum") for c in cols + ["n_total"]])
     else:
         out = partials.groupby("user_id").aggregate(
             *[Sum(c) for c in cols + ["n_total"]]
         )
-        tbl = pa.concat_tables(
-            out.iter_batches(batch_format="pyarrow")
-        ).rename_columns(["user_id"] + cols + ["n_total"])
+        tbl = _collect(out).rename_columns(["user_id"] + cols + ["n_total"])
     return tbl.sort_by("user_id")
 
 
@@ -5159,10 +5067,8 @@ def length_filter(sf_dir: str, lo_pct: float = 0.05,
         return pa.table({"n_chars": vc.field("values"),
                          "n": pc.cast(vc.field("counts"), pa.int64())})
 
-    hist = _merge_partials(
-        ds.map_batches(len_counts, batch_format="pyarrow", zero_copy_batch=True),
-        ["n_chars"], [("n", "sum")],
-    ).sort_by("n_chars")
+    hist = _rollup(
+        ds, len_counts, ["n_chars"], [("n", "sum")]).sort_by("n_chars")
     vals = hist.column("n_chars").to_numpy()
     cum = np.cumsum(hist.column("n").to_numpy())
     total = int(cum[-1])
@@ -5178,11 +5084,8 @@ def length_filter(sf_dir: str, lo_pct: float = 0.05,
         return pa.table({"lang": vc.field("values"),
                          "n_kept": pc.cast(vc.field("counts"), pa.int64())})
 
-    return _merge_partials(
-        filtered.map_batches(lang_partial, batch_format="pyarrow",
-                             zero_copy_batch=True),
-        ["lang"], [("n_kept", "sum")],
-    ).sort_by("lang")
+    return _rollup(
+        filtered, lang_partial, ["lang"], [("n_kept", "sum")]).sort_by("lang")
 
 
 def pack_sequences(sf_dir: str, capacity: int = 256) -> pa.Table:
@@ -5234,9 +5137,7 @@ def pack_sequences(sf_dir: str, capacity: int = 256) -> pa.Table:
         .groupby("source")
         .map_groups(pack, batch_format="pyarrow")
     )
-    return pa.concat_tables(
-        out.iter_batches(batch_format="pyarrow")
-    ).sort_by("doc_id")
+    return _collect(out).sort_by("doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -5259,15 +5160,12 @@ def link_graph(sf_dir: str) -> pa.Table:
     synthesis) + driver merge; a real crawl's host-pair cardinality is
     unbounded, so the distributed sibling is the native groupby that
     ``pagerank_hosts`` runs under the forced policy."""
-    partial = _host_edges(sf_dir).map_batches(
+    return _rollup(
+        _host_edges(sf_dir),
         lambda b: b.group_by(["src_host", "dst_host"])
         .aggregate([("dst_host", "count")])
         .rename_columns(["src_host", "dst_host", "n_links"]),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-    return _merge_partials(
-        partial, ["src_host", "dst_host"], [("n_links", "sum")],
-        fallback_schema=_LINK_GRAPH_SCHEMA,
+        ["src_host", "dst_host"], [("n_links", "sum")]
     ).sort_by([("src_host", "ascending"), ("dst_host", "ascending")])
 
 
@@ -5294,9 +5192,6 @@ def pagerank_hosts(sf_dir: str, iterations: int = 5) -> pa.Table:
     """Fixed-iteration integer PageRank over the host graph →
     (host, rank_c).  Semantics, regimes and the oracle pin are documented
     in stages/graph.py."""
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return pa.table({"host": pa.array([], pa.string()),
-                         "rank_c": pa.array([], pa.int64())})
     return G.pagerank(_weighted_host_edges(sf_dir), iterations=iterations)
 
 
@@ -5304,9 +5199,6 @@ def host_components(sf_dir: str) -> pa.Table:
     """Connected components of the undirected host graph →
     (host, component); component = min host label, matching both the
     recursive-CTE oracle and the near-dup collapse convention."""
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return pa.table({"host": pa.array([], pa.string()),
-                         "component": pa.array([], pa.string())})
     return G.connected_components(_host_edges(sf_dir))
 
 
@@ -5359,11 +5251,11 @@ def neardup_keep_best(sf_dir: str, threshold: float = 0.5) -> pa.Table:
             batch_format="pyarrow", zero_copy_batch=True,
         ).materialize()  # reused by both aggregate passes
 
-    best = tagged.groupby("label").aggregate(
+    best = _scrubbed(tagged.groupby("label").aggregate(
         Max("n_chars"), Count()
-    ).rename_columns(["label", "best_nc", "cluster_size"]).materialize()
+    ).rename_columns(["label", "best_nc", "cluster_size"]))
 
-    pick = tagged.join(
+    pick = _scrubbed(tagged.join(
         best, join_type="inner", num_partitions=npart, on=("label",),
         right_suffix="_b",
     ).map_batches(
@@ -5371,22 +5263,16 @@ def neardup_keep_best(sf_dir: str, threshold: float = 0.5) -> pa.Table:
                                     b.column("best_nc"))),
         batch_format="pyarrow", zero_copy_batch=True,
     ).groupby("label").aggregate(Min("doc_id")).rename_columns(
-        ["label", "doc_id"])
+        ["label", "doc_id"]))
 
-    out = pick.join(
-        best, join_type="inner", num_partitions=npart, on=("label",),
-        right_suffix="_b",
-    ).map_batches(
+    return _gather(
+        pick.join(best, join_type="inner", num_partitions=npart,
+                  on=("label",), right_suffix="_b"),
         lambda b: pa.table({
             "doc_id": b.column("doc_id"),
             "n_chars": pc.cast(b.column("best_nc"), pa.int64()),
             "cluster_size": pc.cast(b.column("cluster_size"), pa.int64()),
-        }),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-    return _collect(out, fallback_schema={
-        "doc_id": pa.int64(), "n_chars": pa.int64(),
-        "cluster_size": pa.int64()}).sort_by("doc_id")
+        })).sort_by("doc_id")
 
 
 def media_dedup(sf_dir: str, n: int = 64) -> pa.Table:
@@ -5409,8 +5295,6 @@ def media_dedup(sf_dir: str, n: int = 64) -> pa.Table:
     empty = pa.table({"doc_id": pa.array([], pa.int64()),
                       "canonical_doc_id": pa.array([], pa.int64()),
                       "n_copies": pa.array([], pa.int64())})
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return empty
     ds = _docs_sized(sf_dir, columns=["doc_id"]).filter(expr=f"doc_id < {n}")
 
     def hash_payload(batch: pa.Table) -> pa.Table:
@@ -5432,27 +5316,22 @@ def media_dedup(sf_dir: str, n: int = 64) -> pa.Table:
 
     from ray.data.aggregate import Count, Min
 
-    hashed = ds.map_batches(hash_payload, batch_format="pyarrow",
-                            zero_copy_batch=True).materialize()
+    hashed = _materialize(ds, hash_payload)
     if hashed.count() == 0:
         return empty
-    agg = hashed.groupby("h").aggregate(Min("doc_id"), Count()).rename_columns(
-        ["h", "canonical_doc_id", "n_copies"])
-    out = hashed.join(
-        agg, join_type="inner",
-        num_partitions=D._default_join_partitions(hashed), on=("h",),
-    ).map_batches(
+    agg = _scrubbed(hashed.groupby("h").aggregate(
+        Min("doc_id"), Count()).rename_columns(
+        ["h", "canonical_doc_id", "n_copies"]))
+    return _gather(
+        hashed.join(agg, join_type="inner",
+                    num_partitions=D._default_join_partitions(hashed),
+                    on=("h",)),
         lambda b: pa.table({
             "doc_id": b.column("doc_id"),
             "canonical_doc_id": pc.cast(b.column("canonical_doc_id"),
                                         pa.int64()),
             "n_copies": pc.cast(b.column("n_copies"), pa.int64()),
-        }),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-    return _collect(out, fallback_schema={
-        "doc_id": pa.int64(), "canonical_doc_id": pa.int64(),
-        "n_copies": pa.int64()}).sort_by("doc_id")
+        })).sort_by("doc_id")
 
 
 def host_profiles(sf_dir: str) -> pa.Table:
@@ -5464,20 +5343,17 @@ def host_profiles(sf_dir: str) -> pa.Table:
     bounded by N_HOSTS); the edge-side aggregates reduce the already
     bounded ``link_graph`` table.  At real-web host cardinality each
     reduction is the same shape as a native groupby + outer join — the
-    bounded-cardinality driver merge is the _merge_partials rule applied
+    bounded-cardinality driver merge is the _rollup rule applied
     to this synthesis's fixed host space."""
-    docs_partial = _docs_sized(sf_dir, columns=["doc_id"]).map_batches(
+    dhost = _rollup(
+        _docs_sized(sf_dir, columns=["doc_id"]),
         lambda b: pa.table({
             "host": pa.array(
                 [G.host_name(_md5_bucket(i, G.N_HOSTS))
                  for i in b.column("doc_id").to_pylist()], pa.string()),
         }).group_by(["host"]).aggregate([("host", "count")])
         .rename_columns(["host", "n_docs"]),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-    dhost = _merge_partials(
-        docs_partial, ["host"], [("n_docs", "sum")],
-        fallback_schema={"host": pa.string(), "n_docs": pa.int64()})
+        ["host"], [("n_docs", "sum")])
     links = link_graph(sf_dir)
 
     n_docs = dict(zip(dhost.column("host").to_pylist(),
@@ -5552,9 +5428,7 @@ def attribution_last_touch(sf_dir: str) -> pa.Table:
 
     cols = ["event_id", "user_id", "event_type", "ts"]
     if R.route("attribution_last_touch", n_rows) == "driver":
-        tbl = pa.concat_tables(
-            _read_sized(path, columns=cols).iter_batches(
-                batch_format="pyarrow"))
+        tbl = _collect(_read_sized(path, columns=cols))
         et = tbl.column("event_type").to_numpy(zero_copy_only=False)
         keep = (et == "click") | (et == "purchase")
         if not keep.any():
@@ -5588,19 +5462,12 @@ def attribution_last_touch(sf_dir: str) -> pa.Table:
         return per_user(uid, ts, eid, is_click)
 
     out = ds.groupby("user_id").map_groups(attr_group, batch_format="pyarrow")
-    return _collect(out, fallback_schema={
-        "event_id": pa.int64(), "user_id": pa.int64(),
-        "click_event_id": pa.int64(), "gap_us": pa.int64(),
-    }).sort_by("event_id")
+    return _collect(out).sort_by("event_id")
 
 
 def random_walks(sf_dir: str, steps: int = 3) -> pa.Table:
     """Deterministic 3-hop random walks from every host of the link graph
     → (host, h1, h2, h3); semantics and regimes in stages/graph.py."""
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return pa.table({"host": pa.array([], pa.string()),
-                         **{f"h{k+1}": pa.array([], pa.string())
-                            for k in range(steps)}})
     return G.random_walks(_weighted_host_edges(sf_dir), steps=steps)
 
 
@@ -5614,7 +5481,7 @@ def retention_cohorts(sf_dir: str) -> pa.Table:
     groupby distinct over (user_id, wk) — rows shrink to user×week
     BEFORE anything joins — then a native Min per user for the cohort,
     one hash join back, and a bounded (cohort, offset) count (weeks² key
-    space → driver merge by the _merge_partials rule).  Driver path under
+    space → driver merge by the _rollup rule).  Driver path under
     the footer gate: one ``np.unique`` pass over the same pairs."""
     path = f"{sf_dir}/events.parquet"
     WEEK_US = 604_800_000_000
@@ -5643,9 +5510,7 @@ def retention_cohorts(sf_dir: str) -> pa.Table:
         })
 
     if R.route("retention_cohorts", n_rows) == "driver":
-        tbl = pa.concat_tables(
-            _read_sized(path, columns=["user_id", "ts"]).iter_batches(
-                batch_format="pyarrow"))
+        tbl = _collect(_read_sized(path, columns=["user_id", "ts"]))
         uid = tbl.column("user_id").to_numpy()
         wk = (tbl.column("ts").to_numpy(zero_copy_only=False)
               .astype("datetime64[us]").astype(np.int64)) // WEEK_US
@@ -5663,16 +5528,14 @@ def retention_cohorts(sf_dir: str) -> pa.Table:
         }),
         batch_format="pyarrow", zero_copy_batch=True,
     )
-    uw = ds.groupby(["user_id", "wk"]).aggregate(Count()).map_batches(
-        lambda b: b.select(["user_id", "wk"]),
-        batch_format="pyarrow", zero_copy_batch=True,
-    ).materialize()
+    uw = _materialize(ds.groupby(["user_id", "wk"]).aggregate(Count()),
+                      lambda b: b.select(["user_id", "wk"]))
     cohort = uw.groupby("user_id").aggregate(Min("wk")).rename_columns(
         ["user_id", "cw"])
-    joined = uw.join(
-        cohort, join_type="inner",
-        num_partitions=D._default_join_partitions(uw), on=("user_id",),
-    ).map_batches(
+    return _rollup(
+        uw.join(cohort, join_type="inner",
+                num_partitions=D._default_join_partitions(uw),
+                on=("user_id",)),
         lambda b: pa.table({
             "cohort_week": pc.cast(b.column("cw"), pa.int64()),
             "week_offset": pa.array(
@@ -5682,13 +5545,7 @@ def retention_cohorts(sf_dir: str) -> pa.Table:
         }).group_by(["cohort_week", "week_offset"]).aggregate(
             [("week_offset", "count")]
         ).rename_columns(["cohort_week", "week_offset", "n_users"]),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-    return _merge_partials(
-        joined, ["cohort_week", "week_offset"], [("n_users", "sum")],
-        fallback_schema={"cohort_week": pa.int64(),
-                         "week_offset": pa.int64(),
-                         "n_users": pa.int64()},
+        ["cohort_week", "week_offset"], [("n_users", "sum")]
     ).sort_by([("cohort_week", "ascending"), ("week_offset", "ascending")])
 
 
@@ -5745,11 +5602,7 @@ def cooccurrence_pairs(sf_dir: str, k: int = 20) -> pa.Table:
             ("t2", "ascending")])
         return b.take(idx[:k])
 
-    merged = _collect(
-        grouped.map_batches(block_topk, batch_format="pyarrow",
-                            zero_copy_batch=True),
-        fallback_schema={"t1": pa.string(), "t2": pa.string(),
-                         "n_docs": pa.int64()})
+    merged = _gather(grouped, block_topk)
     idx = pc.sort_indices(merged, sort_keys=[
         ("n_docs", "descending"), ("t1", "ascending"), ("t2", "ascending")])
     return merged.take(idx[:k])
@@ -5804,8 +5657,12 @@ def _range_layout_impl(sf_dir: str, n_shards: int) -> pa.Table:
             ["shard_id", "n_docs", "min_chars", "max_chars"])
 
     if R.route("range_layout", n_docs) == "driver":
-        t = _collect(thin, fallback_schema={"doc_id": pa.int64(),
-                                            "n_chars": pa.int64()})
+        t = _gather(
+            _docs_sized(sf_dir, columns=["doc_id", "n_chars"],
+                        rows_per_block=4096),
+            lambda b: pa.table({
+                "doc_id": b.column("doc_id"),
+                "n_chars": pc.cast(b.column("n_chars"), pa.int64())}))
         if t.num_rows == 0:
             return empty
         d = t.column("doc_id").to_numpy()
@@ -5817,14 +5674,12 @@ def _range_layout_impl(sf_dir: str, n_shards: int) -> pa.Table:
         return shard_stats(shard, nc).sort_by("shard_id")
 
     # pass 1: bounded value histogram → cumulative start rank per value
-    hist = _merge_partials(
-        thin.map_batches(
-            lambda b: pa.table({"n_chars": b.column("n_chars")})
-            .group_by(["n_chars"]).aggregate([("n_chars", "count")])
-            .rename_columns(["n_chars", "cnt"]),
-            batch_format="pyarrow", zero_copy_batch=True),
-        ["n_chars"], [("cnt", "sum")],
-        fallback_schema={"n_chars": pa.int64(), "cnt": pa.int64()})
+    hist = _rollup(
+        thin,
+        lambda b: pa.table({"n_chars": b.column("n_chars")})
+        .group_by(["n_chars"]).aggregate([("n_chars", "count")])
+        .rename_columns(["n_chars", "cnt"]),
+        ["n_chars"], [("cnt", "sum")])
     vals = hist.column("n_chars").to_numpy().astype(np.int64)
     cnts = hist.column("cnt").to_numpy().astype(np.int64)
     vorder = np.argsort(vals)
@@ -5857,14 +5712,10 @@ def _range_layout_impl(sf_dir: str, n_shards: int) -> pa.Table:
         shard = rank * n_shards // total
         return shard_stats(shard, ncs)
 
-    return _merge_partials(
-        co.map_batches(block_rank, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        ["shard_id"], [("n_docs", "sum"), ("min_chars", "min"),
-                       ("max_chars", "max")],
-        fallback_schema={"shard_id": pa.int64(), "n_docs": pa.int64(),
-                         "min_chars": pa.int64(), "max_chars": pa.int64()},
-    ).sort_by("shard_id")
+    return _rollup(
+        co, block_rank, ["shard_id"],
+        [("n_docs", "sum"), ("min_chars", "min"),
+         ("max_chars", "max")]).sort_by("shard_id")
 
 
 _SPLIT_BITS = (("train", 1), ("valid", 2), ("test", 4))
@@ -5886,8 +5737,6 @@ def split_leakage_audit(sf_dir: str, n: int = 8) -> pa.Table:
     → Sum(bit) == OR = presence mask per gram — driver-side under the
     documents footer gate, two native groupbys + bounded per-block
     pair-count partials above it."""
-    out_schema = {"split_a": pa.string(), "split_b": pa.string(),
-                  "n_shared_grams": pa.int64()}
 
     def finish(masks: np.ndarray) -> pa.Table:
         rows = sorted(
@@ -5921,10 +5770,11 @@ def split_leakage_audit(sf_dir: str, n: int = 8) -> pa.Table:
     parts = _docs_sized(sf_dir, columns=["doc_id", "text"],
                         rows_per_block=1024).map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True)
-    fb = {"gkey": pa.string(), "bit": pa.int64()}
-
     if R.route("split_leakage_audit", n_docs) == "driver":
-        t = _collect(parts, fallback_schema=fb)
+        t = _gather(
+            _docs_sized(sf_dir, columns=["doc_id", "text"],
+                        rows_per_block=1024),
+            partial)
         if t.num_rows == 0:
             return finish(np.array([], np.int64))
         distinct = t.group_by(["gkey", "bit"]).aggregate(
@@ -5945,11 +5795,7 @@ def split_leakage_audit(sf_dir: str, n: int = 8) -> pa.Table:
             [int(((m & bm) == bm).sum())], pa.int64())
             for a, bb, bm in _SPLIT_PAIRS})
 
-    rows = _collect(
-        masked.map_batches(pair_partial, batch_format="pyarrow",
-                           zero_copy_batch=True),
-        fallback_schema={f"{a}|{b}": pa.int64()
-                         for a, b, _ in _SPLIT_PAIRS})
+    rows = _gather(masked, pair_partial)
     out = sorted(
         (a, b, int(pc.sum(rows.column(f"{a}|{b}")).as_py() or 0)
          if rows.num_rows else 0)
@@ -6008,20 +5854,13 @@ def churned_users(sf_dir: str, idle_days: int = 1) -> pa.Table:
     empty = pa.table({"user_id": pa.array([], pa.int64()),
                       "last_ts": pa.array([], pa.timestamp("us")),
                       "days_idle": pa.array([], pa.int64())})
-    if _footer_rows(path) == 0:
-        return empty
     ds = _read_sized(path, columns=["user_id", "ts"])
 
     def partial(b: pa.Table) -> pa.Table:
         return b.group_by(["user_id"]).aggregate(
             [("ts", "max")]).rename_columns(["user_id", "last_ts"])
 
-    m = _merge_partials(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        ["user_id"], [("last_ts", "max")],
-        fallback_schema={"user_id": pa.int64(),
-                         "last_ts": pa.timestamp("us")})
+    m = _rollup(ds, partial, ["user_id"], [("last_ts", "max")])
     if m.num_rows == 0:
         return empty
     last = pc.cast(m.column("last_ts"), pa.int64()).to_numpy()
@@ -6119,28 +5958,25 @@ def prefix_clusters(sf_dir: str, n_tokens: int = 8) -> pa.Table:
     parts = _docs_sized(sf_dir, columns=["doc_id", "text"],
                         rows_per_block=1024).map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True)
-    fb = {"prefix_key": pa.string(), "n_docs": pa.int64(),
-          "canonical_doc_id": pa.int64()}
     if R.route("prefix_clusters", n_rows) == "driver":
-        merged = _merge_partials(
-            parts, ["prefix_key"],
-            [("n_docs", "sum"), ("canonical_doc_id", "min")],
-            fallback_schema=fb)
+        merged = _rollup(
+            _docs_sized(sf_dir, columns=["doc_id", "text"],
+                        rows_per_block=1024),
+            partial, ["prefix_key"],
+            [("n_docs", "sum"), ("canonical_doc_id", "min")])
     else:
         from ray.data.aggregate import Min, Sum
 
         # ≥2-member filter runs per block BEFORE the collect, so only the
         # (rare) actual clusters reach the driver — never the full
         # corpus-sized key table
-        merged = _collect(
+        merged = _gather(
             parts.groupby("prefix_key").aggregate(
                 Sum("n_docs", alias_name="n_docs"),
                 Min("canonical_doc_id", alias_name="canonical_doc_id")
-            ).map_batches(
-                lambda b: b.filter(pc.greater_equal(b.column("n_docs"),
-                                                    pa.scalar(2))),
-                batch_format="pyarrow", zero_copy_batch=True),
-            fallback_schema=fb)
+            ),
+            lambda b: b.filter(pc.greater_equal(b.column("n_docs"),
+                                                pa.scalar(2))))
     merged = merged.filter(pc.greater_equal(merged.column("n_docs"),
                                             pa.scalar(2)))
     return merged.take(pc.sort_indices(merged, sort_keys=[
@@ -6216,11 +6052,6 @@ def fuzzy_prefix_pairs(
                          "doc_id": pa.array(ids, pa.int64()),
                          "pref": pa.array(prefs, pa.string())})
 
-    thin = _docs_sized(sf_dir, columns=["doc_id", "text"],
-                       rows_per_block=1024).map_batches(
-        keyed, batch_format="pyarrow", zero_copy_batch=True)
-    fb = {"bkey": pa.string(), "doc_id": pa.int64(), "pref": pa.string()}
-
     def verify(t: pa.Table) -> pa.Table:
         """Per-bucket pair expansion + exact DP verify.  Requires every
         row of a bucket present (driver, or one hash partition)."""
@@ -6254,7 +6085,10 @@ def fuzzy_prefix_pairs(
                          "dist": pa.array(out_d, pa.int64())})
 
     if R.route("fuzzy_prefix_pairs", n_docs) == "driver":
-        return verify(_collect(thin, fallback_schema=fb)).sort_by(
+        return verify(_gather(
+            _docs_sized(sf_dir, columns=["doc_id", "text"],
+                        rows_per_block=1024),
+            keyed)).sort_by(
             [("doc_a", "ascending"), ("doc_b", "ascending")])
 
     with _pinned_hash_shuffle():
@@ -6263,11 +6097,7 @@ def fuzzy_prefix_pairs(
             keyed, batch_format="pyarrow", zero_copy_batch=True)
         co = thin2.repartition(
             num_blocks=D._default_join_partitions(thin2), keys=["bkey"])
-        out = co.map_batches(verify, batch_format="pyarrow",
-                             zero_copy_batch=True)
-        return _collect(out, fallback_schema={
-            "doc_a": pa.int64(), "doc_b": pa.int64(),
-            "dist": pa.int64()}).sort_by(
+        return _gather(co, verify).sort_by(
             [("doc_a", "ascending"), ("doc_b", "ascending")])
 
 
@@ -6331,11 +6161,7 @@ def fk_integrity_audit(sf_dir: str) -> pa.Table:
             return pa.table({k: pa.array(v, pa.int64())
                              for k, v in out.items()})
 
-        parts = _collect(
-            ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True),
-            fallback_schema={"n": pa.int64(), **{
-                rel: pa.int64() for _, _, rel in fedges}})
+        parts = _gather(ds, partial)
         n = int(pc.sum(parts.column("n")).as_py() or 0)
         for _, _, rel in fedges:
             rows_rel.append(rel)
@@ -6360,8 +6186,6 @@ def source_cap_sample(sf_dir: str, cap: int = 5) -> pa.Table:
     per-source cut reuses the same ordering."""
     empty = pa.table({"doc_id": pa.array([], pa.int64()),
                       "source": pa.array([], pa.string())})
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return empty
 
     def pick(tbl: pa.Table) -> pa.Table:
         ids = tbl.column("doc_id").to_numpy()
@@ -6376,11 +6200,10 @@ def source_cap_sample(sf_dir: str, cap: int = 5) -> pa.Table:
         return pa.table({"doc_id": pa.array(i[keep], pa.int64()),
                          "source": pa.array(s[keep], pa.string())})
 
-    parts = _docs_sized(sf_dir, columns=["doc_id", "source"],
-                        rows_per_block=1024).map_batches(
-        pick, batch_format="pyarrow", zero_copy_batch=True)
-    merged = _collect(parts, fallback_schema={
-        "doc_id": pa.int64(), "source": pa.string()})
+    merged = _gather(
+        _docs_sized(sf_dir, columns=["doc_id", "source"],
+                    rows_per_block=1024),
+        pick)
     if merged.num_rows == 0:
         return empty
     return pick(merged).sort_by("doc_id")
@@ -6417,16 +6240,13 @@ def vocab_coverage(
     partials = ds.map_batches(_word_count_partial, batch_format="pyarrow",
                               zero_copy_batch=True)
     if R.route("vocab_coverage", n_docs) == "driver":
-        vocab = _merge_partials(
-            partials, ["term"], [("n", "sum")],
-            fallback_schema={"term": pa.string(), "n": pa.int64()})
+        vocab = _rollup(ds, _word_count_partial, ["term"], [("n", "sum")])
     else:
         from ray.data.aggregate import Sum
 
         vocab = _collect(
             partials.groupby("term").aggregate(
-                Sum("n", alias_name="n")),
-            fallback_schema={"term": pa.string(), "n": pa.int64()})
+                Sum("n", alias_name="n")))
     if vocab.num_rows == 0:
         return tokenless()
     terms = np.asarray(vocab.column("term").to_pylist(), dtype=object)
@@ -6466,12 +6286,6 @@ def length_buckets(sf_dir: str) -> pa.Table:
     Σpad) partials — the bucket key space is log-bounded (one row per
     power of two up to the longest doc), so the driver merge is the
     textbook bounded rollup."""
-    empty = pa.table({"bucket": pa.array([], pa.int64()),
-                      "n_docs": pa.array([], pa.int64()),
-                      "sum_tokens": pa.array([], pa.int64()),
-                      "padding_tokens": pa.array([], pa.int64())})
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return empty
 
     def partial(batch: pa.Table) -> pa.Table:
         n = np.array([len(_GRAM_TOKEN_RE.findall((t or "").lower()))
@@ -6493,15 +6307,11 @@ def length_buckets(sf_dir: str) -> pa.Table:
              ("padding_tokens", "sum")]).rename_columns(
             ["bucket", "n_docs", "sum_tokens", "padding_tokens"])
 
-    return _merge_partials(
-        _docs_sized(sf_dir, columns=["text"], rows_per_block=1024)
-        .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True),
-        ["bucket"], [("n_docs", "sum"), ("sum_tokens", "sum"),
-                     ("padding_tokens", "sum")],
-        fallback_schema={"bucket": pa.int64(), "n_docs": pa.int64(),
-                         "sum_tokens": pa.int64(),
-                         "padding_tokens": pa.int64()}).sort_by("bucket")
+    return _rollup(
+        _docs_sized(sf_dir, columns=["text"], rows_per_block=1024), partial,
+        ["bucket"],
+        [("n_docs", "sum"), ("sum_tokens", "sum"),
+         ("padding_tokens", "sum")]).sort_by("bucket")
 
 
 def _pct_rank_tail(doc_id: np.ndarray, src: np.ndarray,
@@ -6568,29 +6378,22 @@ def _quality_percentiles_impl(sf_dir: str) -> pa.Table:
 
     thin = ds.map_batches(counts, batch_format="pyarrow",
                           zero_copy_batch=True)
-    fb = {"doc_id": pa.int64(), "source": pa.string(),
-          "n_tokens": pa.int64()}
-
     def arrays(t: pa.Table):
         return (t.column("doc_id").to_numpy().astype(np.int64),
                 np.asarray(t.column("source").to_pylist(), dtype=object),
                 t.column("n_tokens").to_numpy().astype(np.int64))
 
     if R.route("quality_percentiles", n_docs) == "driver":
-        t = _collect(thin, fallback_schema=fb)
+        t = _gather(ds, counts)
         if t.num_rows == 0:
             return empty
         return _pct_rank_tail(*arrays(t)).sort_by("doc_id")
 
     co = thin.repartition(num_blocks=D._default_join_partitions(thin),
                           keys=["source"])
-    out = co.map_batches(
-        lambda b: (_pct_rank_tail(*arrays(b)) if b.num_rows else empty),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return _collect(out, fallback_schema={
-        "doc_id": pa.int64(), "source": pa.string(),
-        "n_tokens": pa.int64(), "rnk": pa.int64(),
-        "pct_ppm": pa.int64()}).sort_by("doc_id")
+    return _gather(
+        co, lambda b: (_pct_rank_tail(*arrays(b)) if b.num_rows else empty)
+    ).sort_by("doc_id")
 
 
 def pmi_bigrams(sf_dir: str, k: int = 50, min_count: int = 2) -> pa.Table:
@@ -6660,10 +6463,8 @@ def pmi_bigrams(sf_dir: str, k: int = 50, min_count: int = 2) -> pa.Table:
         return t.take(idx[:k])
 
     if R.route("pmi_bigrams", n_docs) == "driver":
-        merged = _merge_partials(
-            partials, ["kind", "w1", "w2"], [("cnt", "sum")],
-            fallback_schema={"kind": pa.int8(), "w1": pa.string(),
-                             "w2": pa.string(), "cnt": pa.int64()})
+        merged = _rollup(
+            ds, partial_counts, ["kind", "w1", "w2"], [("cnt", "sum")])
         kind = merged.column("kind").to_numpy()
         cnt = merged.column("cnt").to_numpy().astype(np.int64)
         w1 = np.asarray(merged.column("w1").to_pylist(), dtype=object)
@@ -6698,12 +6499,10 @@ def pmi_bigrams(sf_dir: str, k: int = 50, min_count: int = 2) -> pa.Table:
     grouped = partials.groupby(["kind", "w1", "w2"]).aggregate(
         Sum("cnt", alias_name="cnt")).materialize()
     uni = grouped.filter(expr="kind == 0")
-    uni_tbl = _collect(
-        uni.map_batches(
-            lambda b: pa.table({"w": b.column("w1"),
-                                "c": pc.cast(b.column("cnt"), pa.int64())}),
-            batch_format="pyarrow", zero_copy_batch=True),
-        fallback_schema={"w": pa.string(), "c": pa.int64()})
+    uni_tbl = _gather(
+        uni,
+        lambda b: pa.table({"w": b.column("w1"),
+                            "c": pc.cast(b.column("cnt"), pa.int64())}))
     if uni_tbl.num_rows == 0:
         return empty
     vocab = np.asarray(uni_tbl.column("w").to_pylist(), dtype=object)
@@ -6727,12 +6526,7 @@ def pmi_bigrams(sf_dir: str, k: int = 50, min_count: int = 2) -> pa.Table:
         _, i2 = _sorted_member(v, w2)
         return head(w1, w2, cnt[ca], c[i1], c[i2], n)
 
-    merged = _collect(
-        grouped.map_batches(block_head, batch_format="pyarrow",
-                            zero_copy_batch=True),
-        fallback_schema={"w1": pa.string(), "w2": pa.string(),
-                         "c_ab": pa.int64(), "c_a": pa.int64(),
-                         "c_b": pa.int64(), "pmi_e6": pa.int64()})
+    merged = _gather(grouped, block_head)
     idx = pc.sort_indices(merged, sort_keys=[
         ("pmi_e6", "descending"), ("w1", "ascending"),
         ("w2", "ascending")])
@@ -6742,8 +6536,6 @@ def pmi_bigrams(sf_dir: str, k: int = 50, min_count: int = 2) -> pa.Table:
 def triangle_count(sf_dir: str) -> pa.Table:
     """Triangle count of the undirected host graph → (n_triangles);
     semantics and regimes in stages/graph.py."""
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return pa.table({"n_triangles": pa.array([0], pa.int64())})
     return G.triangle_count(_weighted_host_edges(sf_dir))
 
 
@@ -6764,8 +6556,6 @@ def pipeline_certificate(sf_dir: str) -> pa.Table:
     empty = pa.table({"split": pa.array([], pa.string()),
                       "lang": pa.array([], pa.string()),
                       "n_docs": pa.array([], pa.int64())})
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return empty
     ds = _docs_sized(sf_dir, columns=["doc_id", "text", "lang"],
                      rows_per_block=1024)
 
@@ -6784,16 +6574,15 @@ def pipeline_certificate(sf_dir: str) -> pa.Table:
 
     from ray.data.aggregate import Min
 
-    kept = ds.map_batches(gate_and_hash, batch_format="pyarrow",
-                          zero_copy_batch=True).materialize()
+    kept = _materialize(ds, gate_and_hash)
     n_kept = kept.count()
     if n_kept == 0:
         return empty
-    if n_kept <= 4096:
+    if R.route("pipeline_certificate.survivors", n_kept) == "driver":
         # tiny survivor set: dedup + split on the driver — a 1-2 row join
         # side can hash-shuffle into schema-less empty blocks (the same
         # guard neardup_keep_best and edge_negatives carry)
-        tbl = pa.concat_tables(kept.iter_batches(batch_format="pyarrow"))
+        tbl = _collect(kept)
         seen: dict = {}
         for i, h in zip(tbl.column("doc_id").to_pylist(),
                         tbl.column("__h").to_pylist()):
@@ -6809,7 +6598,7 @@ def pipeline_certificate(sf_dir: str) -> pa.Table:
                                                   pa.int64())}),
             batch_format="pyarrow", zero_copy_batch=True,
         ).materialize()
-        if ded.count() <= 2_000_000:
+        if R.route("pipeline_certificate.dedup", ded.count()) == "driver":
             # survivor-id set fits a broadcast: vectorized searchsorted
             # filter instead of a join (a high-dup corpus can shrink ded
             # to a handful of rows — too thin a join side)
@@ -6842,12 +6631,8 @@ def pipeline_certificate(sf_dir: str) -> pa.Table:
             ["split", "lang"]).aggregate([("lang", "count")]
         ).rename_columns(["split", "lang", "n_docs"])
 
-    return _merge_partials(
-        fin.map_batches(split_partial, batch_format="pyarrow",
-                        zero_copy_batch=True),
-        ["split", "lang"], [("n_docs", "sum")],
-        fallback_schema={"split": pa.string(), "lang": pa.string(),
-                         "n_docs": pa.int64()},
+    return _rollup(
+        fin, split_partial, ["split", "lang"], [("n_docs", "sum")]
     ).sort_by([("split", "ascending"), ("lang", "ascending")])
 
 
@@ -6863,18 +6648,11 @@ def vocab_overlap(sf_dir: str) -> pa.Table:
     groupby-Sum per term replaces any per-term group callback; per-batch
     mask tallies expand to bounded (src_a, src_b) partials that driver-
     merge.  Zero-overlap pairs are still emitted (cross of sizes)."""
-    empty = pa.table({"src_a": pa.array([], pa.string()),
-                      "src_b": pa.array([], pa.string()),
-                      "n_inter": pa.array([], pa.int64()),
-                      "n_union": pa.array([], pa.int64())})
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return empty
     ds = _docs_sized(sf_dir, columns=["text", "source"],
                      rows_per_block=1024)
 
-    sources = sorted(set(pa.concat_tables(
-        _docs_sized(sf_dir, columns=["source"]).iter_batches(
-            batch_format="pyarrow")
+    sources = sorted(set(_collect(
+        _docs_sized(sf_dir, columns=["source"])
     ).column("source").to_pylist()))  # bounded dimension, tiny scan
     if len(sources) > 62:
         raise ValueError("vocab_overlap bitmask supports <=62 sources; "
@@ -6949,12 +6727,7 @@ def vocab_overlap(sf_dir: str) -> pa.Table:
         })
         return pa.concat_tables([out, szt])
 
-    partial = masks.map_batches(tally, batch_format="pyarrow",
-                                zero_copy_batch=True)
-    merged = _merge_partials(
-        partial, ["src_a", "src_b"], [("n_inter", "sum")],
-        fallback_schema={"src_a": pa.string(), "src_b": pa.string(),
-                         "n_inter": pa.int64()})
+    merged = _rollup(masks, tally, ["src_a", "src_b"], [("n_inter", "sum")])
     nv = {r["src_a"]: r["n_inter"] for r in merged.to_pylist()
           if r["src_b"] == "__size__"}
     got = {(r["src_a"], r["src_b"]): r["n_inter"]
@@ -7012,7 +6785,10 @@ def quality_tiers(sf_dir: str) -> pa.Table:
                         np.where(rk * 3 < 2 * n, "middle", "tail"))
 
     if R.route("quality_tiers", n_rows) == "driver":
-        tbl = pa.concat_tables(scored.iter_batches(batch_format="pyarrow"))
+        tbl = _gather(
+            ds.map_batches(TA.add_quality, batch_format="pyarrow",
+                           zero_copy_batch=True),
+            lambda b: b.select(["doc_id", "lang", "quality"]))
         lang = np.asarray(tbl.column("lang").combine_chunks())
         did = tbl.column("doc_id").to_numpy()
         q = tbl.column("quality").to_numpy()
@@ -7037,9 +6813,7 @@ def quality_tiers(sf_dir: str) -> pa.Table:
 
     out = scored.groupby("lang").map_groups(tier_group,
                                             batch_format="pyarrow")
-    return _collect(out, fallback_schema={
-        "doc_id": pa.int64(), "lang": pa.string(), "tier": pa.string(),
-    }).sort_by("doc_id")
+    return _collect(out).sort_by("doc_id")
 
 
 _ANN_APPEND_CACHE: dict = {}
@@ -7104,10 +6878,6 @@ def ann_append_topk_full(
 def edge_negatives(sf_dir: str, per_host: int = 4) -> pa.Table:
     """Link-prediction negative samples over the host graph →
     (src, dst, slot); semantics in stages/graph.py."""
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return pa.table({"src": pa.array([], pa.string()),
-                         "dst": pa.array([], pa.string()),
-                         "slot": pa.array([], pa.int64())})
     return G.edge_negatives(_weighted_host_edges(sf_dir),
                             per_host=per_host)
 
@@ -7221,36 +6991,26 @@ def q5_local_supplier_volume(
     if R.route("q5_local_supplier_volume", n_ords) == "driver":
         # broadcast path: date+region-filtered orders become two sorted
         # arrays; lineitem never shuffles
-        ot = _collect(
-            ords.map_batches(order_filter, batch_format="pyarrow",
-                             zero_copy_batch=True),
-            fallback_schema={"o_orderkey": pa.int64(),
-                             "cnat": pa.int64()})
+        ot = _gather(ords, order_filter)
         if ot.num_rows == 0:
             return empty
         ot = ot.sort_by("o_orderkey")
-        partial = li.map_batches(
-            li_partial_factory(ot.column("o_orderkey").to_numpy(),
-                               ot.column("cnat").to_numpy()),
-            batch_format="pyarrow", zero_copy_batch=True)
+        src, partial = li, li_partial_factory(
+            ot.column("o_orderkey").to_numpy(), ot.column("cnat").to_numpy())
     else:
         # distributed path: filtered orders ⋈ lineitem hash join on
         # o_orderkey (slim columns both sides), dims stay broadcast
-        of = ords.map_batches(order_filter, batch_format="pyarrow",
-                              zero_copy_batch=True).materialize()
+        of = _materialize(ords, order_filter)
         if of.count() == 0:
             return empty
         if of.count() <= 16:
             # pathologically thin join side (the twice-hit schema-less
             # empty-block gotcha): collect it and take the broadcast math
-            ot = pa.concat_tables(
-                of.iter_batches(batch_format="pyarrow")).sort_by(
+            ot = _collect(of).sort_by(
                 "o_orderkey")
-            partial = li.map_batches(
-                li_partial_factory(ot.column("o_orderkey").to_numpy(),
-                                   ot.column("cnat").to_numpy()),
-                batch_format="pyarrow", zero_copy_batch=True)
-            return _q5_finish(partial, nkey_to_name)
+            return _q5_finish(li, li_partial_factory(
+                ot.column("o_orderkey").to_numpy(),
+                ot.column("cnat").to_numpy()), nkey_to_name)
         sk_ref = ray.put(s_keys)
         sn_ref = ray.put(s_nat)
         li_slim = li.map_batches(
@@ -7287,17 +7047,14 @@ def q5_local_supplier_volume(
             return pa.table({"nkey": pa.array(nkeys[nz], pa.int64()),
                              "revenue_c4": pa.array(out[nz], pa.int64())})
 
-        partial = joined.map_batches(rev_partial, batch_format="pyarrow",
-                                     zero_copy_batch=True)
+        src, partial = joined, rev_partial
 
-    return _q5_finish(partial, nkey_to_name)
+    return _q5_finish(src, partial, nkey_to_name)
 
 
-def _q5_finish(partial, nkey_to_name: dict) -> pa.Table:
+def _q5_finish(src, partial, nkey_to_name: dict) -> pa.Table:
     """Bounded (≤25-nation) partial merge + name mapping + Q5 ordering."""
-    merged = _merge_partials(
-        partial, ["nkey"], [("revenue_c4", "sum")],
-        fallback_schema={"nkey": pa.int64(), "revenue_c4": pa.int64()})
+    merged = _rollup(src, partial, ["nkey"], [("revenue_c4", "sum")])
     names = [nkey_to_name[k] for k in merged.column("nkey").to_pylist()]
     out = pa.table({"n_name": pa.array(names, pa.string()),
                     "revenue_c4": merged.column("revenue_c4")})
@@ -7352,11 +7109,7 @@ def q14_promo_revenue(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_shipdate", "l_extendedprice",
                  "l_discount"])
-    parts = _collect(
-        li.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        fallback_schema={"promo_rev_c4": pa.int64(),
-                         "total_rev_c4": pa.int64()})
+    parts = _gather(li, partial)
     return pa.table({
         "promo_rev_c4": pa.array(
             [int(pc.sum(parts.column("promo_rev_c4")).as_py() or 0)],
@@ -7402,10 +7155,7 @@ def q6_forecast_revenue(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_shipdate", "l_discount", "l_quantity",
                  "l_extendedprice"])
-    parts = _collect(
-        li.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        fallback_schema={"revenue_c4": pa.int64(), "n_items": pa.int64()})
+    parts = _gather(li, partial)
     return pa.table({
         "revenue_c4": pa.array(
             [int(pc.sum(parts.column("revenue_c4")).as_py() or 0)],
@@ -7462,8 +7212,7 @@ def q4_priority_anomalies(
             "od_us": pc.cast(b.column("o_orderdate"), pa.int64()),
             "o_orderpriority": b.column("o_orderpriority")})
 
-    fords = ords.map_batches(
-        window, batch_format="pyarrow", zero_copy_batch=True).materialize()
+    fords = _materialize(ords, window)
     n_f = fords.count()
     if n_f == 0:
         return empty
@@ -7493,10 +7242,7 @@ def q4_priority_anomalies(
             return pa.table({"o_orderkey": pa.array(
                 np.unique(ok[anom]), pa.int64())})
 
-        parts = _collect(
-            li.map_batches(anomalous_keys, batch_format="pyarrow",
-                           zero_copy_batch=True),
-            fallback_schema={"o_orderkey": pa.int64()})
+        parts = _gather(li, anomalous_keys)
         matched = np.unique(parts.column("o_orderkey").to_numpy())
         hit, _ = _sorted_member(matched, keys)
         if not hit.any():
@@ -7530,12 +7276,8 @@ def q4_priority_anomalies(
             return empty
         return count_priorities(b.column("o_orderpriority"))
 
-    merged = _merge_partials(
-        joined.map_batches(prio_partial, batch_format="pyarrow",
-                           zero_copy_batch=True),
-        ["o_orderpriority"], [("n_orders", "sum")],
-        fallback_schema={"o_orderpriority": pa.string(),
-                         "n_orders": pa.int64()})
+    merged = _rollup(
+        joined, prio_partial, ["o_orderpriority"], [("n_orders", "sum")])
     return merged.sort_by("o_orderpriority")
 
 
@@ -7597,11 +7339,10 @@ def q18_large_orders(
     if R.route("q18_large_orders.lineitem", n_li) == "driver":
         # HAVING over driver-merged partials: the distributed Aggregate
         # costs ~10 ms/block of sort/combine regardless of block size
-        # (the _merge_partials rule), and the partial table is ≤ one row
+        # (the _rollup rule), and the partial table is ≤ one row
         # per (block, orderkey) — a single pyarrow group_by at the gate
         # (measured: 3.5 s → 0.9 s for q18 at sf0.1)
-        pt = _collect(partials, fallback_schema={
-            "l_orderkey": pa.int64(), "q": pa.float64()})
+        pt = _gather(li, qty_partial)
         pt = pt.group_by("l_orderkey").aggregate(
             [("q", "sum")]).rename_columns(["l_orderkey", "q"])
         keep = pc.greater(pt.column("q"), qty_threshold)
@@ -7644,12 +7385,7 @@ def q18_large_orders(
         ords = _read_sized(
             f"{sf_dir}/orders.parquet",
             columns=["o_orderkey", "o_custkey", "o_totalprice"])
-        matched = _collect(
-            ords.map_batches(member_orders, batch_format="pyarrow",
-                             zero_copy_batch=True),
-            fallback_schema={"o_orderkey": pa.int64(),
-                             "o_custkey": pa.int64(),
-                             "price_c": pa.int64()})
+        matched = _gather(ords, member_orders)
         if matched.num_rows == 0:
             return empty
         head = matched.take(pc.sort_indices(matched, sort_keys=sort_keys)[:k])
@@ -7672,13 +7408,7 @@ def q18_large_orders(
                 "total_qty": pc.cast(b.column("total_qty"), pa.int64())})
             return t.take(pc.sort_indices(t, sort_keys=sort_keys)[:k])
 
-        merged = _collect(
-            joined.map_batches(block_topk, batch_format="pyarrow",
-                               zero_copy_batch=True),
-            fallback_schema={"o_orderkey": pa.int64(),
-                             "o_custkey": pa.int64(),
-                             "price_c": pa.int64(),
-                             "total_qty": pa.int64()})
+        merged = _gather(joined, block_topk)
         if merged.num_rows == 0:
             return empty
         head = merged.take(pc.sort_indices(merged, sort_keys=sort_keys)[:k])
@@ -7695,11 +7425,10 @@ def q18_large_orders(
             "c_custkey": pc.cast(b.column("c_custkey"), pa.int64()),
             "c_name": b.column("c_name")})
 
-    cust = _collect(
+    cust = _gather(
         _read_sized(f"{sf_dir}/customer.parquet",
-                    columns=["c_custkey", "c_name"]).map_batches(
-            member_cust, batch_format="pyarrow", zero_copy_batch=True),
-        fallback_schema={"c_custkey": pa.int64(), "c_name": pa.string()})
+                    columns=["c_custkey", "c_name"]),
+        member_cust)
     names = dict(zip(cust.column("c_custkey").to_pylist(),
                      cust.column("c_name").to_pylist()))
     return pa.table({
@@ -7755,17 +7484,15 @@ def user_rfm(sf_dir: str) -> pa.Table:
                      columns=["user_id", "ts", "event_type", "value"])
     partials = ev.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    if n_ev is not None and n_ev <= 4_000_000:
+    if R.route("user_rfm", n_ev) == "driver":
         # the per-user RESULT is collected at the end regardless (the
         # return contract is a Table), so under the events footer gate
         # the groupby re-combine runs on the driver too — one pyarrow
         # group_by instead of a ~10 ms/block distributed Aggregate
         # (1.7 s → 0.5 s in-bench; q18/q21/q10/q13 finding)
-        pt = _merge_partials(
-            partials, ["user_id"],
-            [("n", "sum"), ("m", "sum"), ("t", "max")],
-            fallback_schema={"user_id": pa.int64(), "n": pa.int64(),
-                             "m": pa.int64(), "t": pa.int64()})
+        pt = _rollup(
+            ev, partial, ["user_id"],
+            [("n", "sum"), ("m", "sum"), ("t", "max")])
         if pt.num_rows == 0:
             return empty
         t = pt.column("t").to_numpy()
@@ -7792,13 +7519,7 @@ def user_rfm(sf_dir: str) -> pa.Table:
             "recency_days": pa.array((g_max - t) // 86_400_000_000,
                                      pa.int64())})
 
-    return _collect(
-        grouped.map_batches(finish, batch_format="pyarrow",
-                            zero_copy_batch=True),
-        fallback_schema={"user_id": pa.int64(), "frequency": pa.int64(),
-                         "monetary_c": pa.int64(),
-                         "recency_days": pa.int64()},
-    ).sort_by("user_id")
+    return _gather(grouped, finish).sort_by("user_id")
 
 
 def data_card(sf_dir: str) -> pa.Table:
@@ -7847,10 +7568,7 @@ def data_card(sf_dir: str) -> pa.Table:
                        zero_copy_batch=True)
         .groupby(["source", "lang", "n_chars"])
         .aggregate(Sum("cnt"), Sum("tok"))
-        .rename_columns(["source", "lang", "n_chars", "cnt", "tok"]),
-        fallback_schema={"source": pa.string(), "lang": pa.string(),
-                         "n_chars": pa.int64(), "cnt": pa.int64(),
-                         "tok": pa.int64()})
+        .rename_columns(["source", "lang", "n_chars", "cnt", "tok"]))
     hist = hist.sort_by([("source", "ascending"), ("lang", "ascending"),
                          ("n_chars", "ascending")])
     src = np.asarray(hist.column("source").combine_chunks())
@@ -7933,10 +7651,7 @@ def search_topk(
                 batch.column(c), 0), pa.int64())).as_py() or 0)], pa.int64())
             for c in tf_cols})
 
-    dfs = _collect(
-        tf.map_batches(df_partial, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        fallback_schema={c: pa.int64() for c in tf_cols})
+    dfs = _gather(tf, df_partial)
     df = np.array([int(pc.sum(dfs.column(c)).as_py() or 0)
                    for c in tf_cols], np.int64)
     w = np.where(df > 0, (1000 * int(n_docs)) // np.maximum(df, 1), 0)
@@ -7952,10 +7667,7 @@ def search_topk(
             "score": pa.array(score[keep], pa.int64())})
         return t.take(pc.sort_indices(t, sort_keys=sort_keys)[:k])
 
-    merged = _collect(
-        tf.map_batches(score_block, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        fallback_schema={"doc_id": pa.int64(), "score": pa.int64()})
+    merged = _gather(tf, score_block)
     return merged.take(pc.sort_indices(merged, sort_keys=sort_keys)[:k])
 
 
@@ -7963,10 +7675,6 @@ def hits_hosts(sf_dir: str, iterations: int = 3) -> pa.Table:
     """Fixed-iteration integer HITS over the host graph →
     (host, authority_c, hub_c); semantics, normalization, overflow bound
     and regimes documented on ``stages/graph.hits``."""
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return pa.table({"host": pa.array([], pa.string()),
-                         "authority_c": pa.array([], pa.int64()),
-                         "hub_c": pa.array([], pa.int64())})
     return G.hits(_weighted_host_edges(sf_dir), iterations=iterations)
 
 
@@ -7989,8 +7697,6 @@ def knn_label_vote(
     empty = pa.table({"query_id": pa.array([], pa.int64()),
                       "predicted_label": pa.array([], pa.int32()),
                       "votes": pa.array([], pa.int64())})
-    if _footer_rows(f"{sf_dir}/embeddings.parquet") == 0:
-        return empty
     ds = ray.data.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
     queries, query_ids, _ = _query_vectors(sf_dir, n_queries)
@@ -8008,12 +7714,11 @@ def knn_label_vote(
         return pa.table({"vec_id": pc.cast(b.column("vec_id"), pa.int64()),
                          "label": pc.cast(b.column("label"), pa.int32())})
 
-    lab = _collect(
+    lab = _gather(
         ray.data.read_parquet(
             f"{sf_dir}/embeddings.parquet", columns=["vec_id", "label"]
-        ).map_batches(member_labels, batch_format="pyarrow",
-                      zero_copy_batch=True),
-        fallback_schema={"vec_id": pa.int64(), "label": pa.int32()})
+        ),
+        member_labels)
     label_of = dict(zip(lab.column("vec_id").to_pylist(),
                         lab.column("label").to_pylist()))
     votes: dict[int, dict[int, int]] = {}
@@ -8077,10 +7782,7 @@ def vocab_encode(sf_dir: str, vocab_size: int = 16) -> pa.Table:
         b = b.set_column(1, "n", pc.cast(b.column("n"), pa.int64()))
         return b.take(pc.sort_indices(b, sort_keys=sort_keys)[:vocab_size])
 
-    merged = _collect(
-        counts.map_batches(block_topv, batch_format="pyarrow",
-                           zero_copy_batch=True),
-        fallback_schema={"tok": pa.string(), "n": pa.int64()})
+    merged = _gather(counts, block_topv)
     if merged.num_rows == 0:
         return empty
     head = merged.take(
@@ -8111,12 +7813,8 @@ def vocab_encode(sf_dir: str, vocab_size: int = 16) -> pa.Table:
             "pos": pa.array(np.concatenate(out_p), pa.int64()),
             "token_id": pa.array(np.concatenate(out_t), pa.int64())})
 
-    return _collect(
-        ds.map_batches(encode, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        fallback_schema={"doc_id": pa.int64(), "pos": pa.int64(),
-                         "token_id": pa.int64()},
-    ).sort_by([("doc_id", "ascending"), ("pos", "ascending")])
+    return _gather(
+        ds, encode).sort_by([("doc_id", "ascending"), ("pos", "ascending")])
 
 
 def host_quality(sf_dir: str) -> pa.Table:
@@ -8130,11 +7828,6 @@ def host_quality(sf_dir: str) -> pa.Table:
     Scale shape: one doc pass — per-block (host, count, Σq_u) partials
     (host key space bounded by the md5-bridge synthesis, as in
     stages/graph.py) + driver merge."""
-    empty = pa.table({"host": pa.array([], pa.string()),
-                      "n_docs": pa.array([], pa.int64()),
-                      "quality_sum_u": pa.array([], pa.int64())})
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return empty
 
     def partial(batch: pa.Table) -> pa.Table:
         hosts, q_u = [], []
@@ -8150,13 +7843,10 @@ def host_quality(sf_dir: str) -> pa.Table:
             [("n_docs", "sum"), ("quality_sum_u", "sum")]).rename_columns(
             ["host", "n_docs", "quality_sum_u"])
 
-    return _merge_partials(
+    return _rollup(
         _docs_sized(sf_dir, columns=["doc_id", "text"],
-                    rows_per_block=1024).map_batches(
-            partial, batch_format="pyarrow", zero_copy_batch=True),
-        ["host"], [("n_docs", "sum"), ("quality_sum_u", "sum")],
-        fallback_schema={"host": pa.string(), "n_docs": pa.int64(),
-                         "quality_sum_u": pa.int64()},
+                    rows_per_block=1024),
+        partial, ["host"], [("n_docs", "sum"), ("quality_sum_u", "sum")]
     ).sort_by("host")
 
 
@@ -8172,11 +7862,6 @@ def dedup_rate_by_source(sf_dir: str) -> pa.Table:
     the same digest pass as per-block count partials."""
     from ray.data.aggregate import Count
 
-    empty = pa.table({"source": pa.array([], pa.string()),
-                      "n_docs": pa.array([], pa.int64()),
-                      "n_distinct": pa.array([], pa.int64())})
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return empty
     ds = _docs_sized(sf_dir, columns=["source", "text"],
                      rows_per_block=1024)
 
@@ -8187,27 +7872,20 @@ def dedup_rate_by_source(sf_dir: str) -> pa.Table:
                              batch.column("text").to_pylist()],
                             pa.string())})
 
-    hashed = ds.map_batches(
-        digest, batch_format="pyarrow", zero_copy_batch=True).materialize()
+    hashed = _materialize(ds, digest)
 
     def count_partial(batch: pa.Table) -> pa.Table:
         t = batch.select(["source"]).group_by(["source"]).aggregate(
             [("source", "count")]).rename_columns(["source", "n"])
         return t.set_column(1, "n", pc.cast(t.column("n"), pa.int64()))
 
-    totals = _merge_partials(
-        hashed.map_batches(count_partial, batch_format="pyarrow",
-                           zero_copy_batch=True),
-        ["source"], [("n", "sum")],
-        fallback_schema={"source": pa.string(), "n": pa.int64()})
+    totals = _rollup(hashed, count_partial, ["source"], [("n", "sum")])
 
-    distinct = hashed.groupby(["source", "md5"]).aggregate(Count()
-                                                           ).map_batches(
-        lambda b: count_partial(b.select(["source"])),
-        batch_format="pyarrow", zero_copy_batch=True)
-    dmerged = _merge_partials(
-        distinct, ["source"], [("n", "sum")],
-        fallback_schema={"source": pa.string(), "n": pa.int64()})
+    dmerged = _rollup(
+        hashed.groupby(["source", "md5"]).aggregate(Count()
+                                                    ),
+        lambda b: count_partial(b.select(["source"])), ["source"],
+        [("n", "sum")])
 
     totals = totals.sort_by("source")
     dmerged = dmerged.sort_by("source")
@@ -8286,9 +7964,7 @@ def event_transitions(sf_dir: str) -> pa.Table:
     partials = ds.groupby("user_id").map_groups(
         per_user, batch_format="pyarrow")
     merged = partials.groupby(["prev_type", "next_type"]).aggregate(Sum("n"))
-    out = _collect(merged, fallback_schema={
-        "prev_type": pa.string(), "next_type": pa.string(),
-        "sum(n)": pa.int64()}).rename_columns(
+    out = _collect(merged).rename_columns(
         ["prev_type", "next_type", "n"])
     return out.take(pc.sort_indices(
         out, sort_keys=[("prev_type", "ascending"),
@@ -8332,16 +8008,14 @@ def bigram_typicality(sf_dir: str) -> pa.Table:
     partials = ds.map_batches(_bigram_count_partial, batch_format="pyarrow",
                               zero_copy_batch=True)
     if R.route("bigram_typicality", _footer_rows(path)) == "driver":
-        vocab = _collect(partials, fallback_schema={
-            "bg": pa.string(), "n": pa.int64()}
+        vocab = _gather(
+            ds, _bigram_count_partial
         ).group_by(["bg"]).aggregate([("n", "sum")])
         grams = np.array(vocab.column("bg").to_pylist())
         counts = vocab.column("n_sum").to_numpy() if vocab.num_rows else \
             np.array([], np.int64)
     else:
-        vt = _collect(partials.groupby("bg").aggregate(Sum("n")),
-                      fallback_schema={"bg": pa.string(),
-                                       "sum(n)": pa.int64()})
+        vt = _collect(partials.groupby("bg").aggregate(Sum("n")))
         grams = np.array(vt.column("bg").to_pylist())
         counts = vt.column(1).to_numpy() if vt.num_rows else \
             np.array([], np.int64)
@@ -8377,11 +8051,7 @@ def bigram_typicality(sf_dir: str) -> pa.Table:
              "n_singleton": pa.array(out_u, pa.int64())}
         )
 
-    return _collect(
-        ds.map_batches(score, batch_format="pyarrow", zero_copy_batch=True),
-        fallback_schema={"doc_id": pa.int64(), "n_bigrams": pa.int64(),
-                         "sum_freq": pa.int64(), "n_singleton": pa.int64()},
-    ).sort_by("doc_id")
+    return _gather(ds, score).sort_by("doc_id")
 
 
 def source_diversity(sf_dir: str) -> pa.Table:
@@ -8466,13 +8136,9 @@ def source_diversity(sf_dir: str) -> pa.Table:
                 [np.zeros(len(srcs), np.int64), all_keys])),
             "kind": pa.array([0] * len(srcs) + [1] * len(d_src), pa.int8())})
 
-    tagged = ds.map_batches(tri_partial, batch_format="pyarrow",
-                            zero_copy_batch=True).materialize()
-
-    totals = _merge_partials(
-        tagged.filter(expr="kind == 0"), ["source"], [("n", "sum")],
-        fallback_schema={"source": pa.string(), "n": pa.int64(),
-                         "tg": pa.int64(), "kind": pa.int8()})
+    tagged = _materialize(ds, tri_partial)
+    totals = _merge(_collect(tagged.filter(expr="kind == 0")), ["source"],
+                    [("n", "sum")])
     if totals.num_rows == 0:
         return empty
     if R.route("source_diversity", n_rows) == "driver":
@@ -8485,15 +8151,13 @@ def source_diversity(sf_dir: str) -> pa.Table:
             "n": pa.array([int(np.unique(tg[codes == c]).size)
                            for c in range(len(uniq_src))], pa.int64())})
     else:
-        distinct_rows = tagged.filter(expr="kind == 1").groupby(
-            ["source", "tg"]).aggregate(Count()).map_batches(
+        dmerged = _rollup(
+            tagged.filter(expr="kind == 1").groupby(
+                ["source", "tg"]).aggregate(Count()),
             lambda b: pa.table(
                 {"source": b.column("source"),
                  "n": pa.array(np.ones(b.num_rows, np.int64))}),
-            batch_format="pyarrow", zero_copy_batch=True)
-        dmerged = _merge_partials(
-            distinct_rows, ["source"], [("n", "sum")],
-            fallback_schema={"source": pa.string(), "n": pa.int64()})
+            ["source"], [("n", "sum")])
 
     totals = totals.select(["source", "n"]).sort_by("source")
     dmerged = dmerged.sort_by("source")
@@ -8511,7 +8175,7 @@ def events_outliers(sf_dir: str) -> pa.Table:
 
     Scale shape: two streaming passes — (1) per-type (n, sum) from bounded
     per-block partials (type cardinality is tiny, so the driver merge is
-    the documented `_merge_partials` trade); (2) the per-type stats
+    the documented `_rollup` trade); (2) the per-type stats
     broadcast via ``ray.put`` as sorted parallel arrays, each block
     counting its own outliers vectorized; a second bounded partial merge
     finishes.  The corpus never shuffles."""
@@ -8519,8 +8183,6 @@ def events_outliers(sf_dir: str) -> pa.Table:
                       "n_events": pa.array([], pa.int64()),
                       "n_outliers": pa.array([], pa.int64())})
     path = f"{sf_dir}/events.parquet"
-    if _footer_rows(path) == 0:
-        return empty
     ds = _read_sized(path, columns=["event_type", "value"])
 
     def stat_partial(batch: pa.Table) -> pa.Table:
@@ -8532,12 +8194,8 @@ def events_outliers(sf_dir: str) -> pa.Table:
             [("n", "sum"), ("s", "sum")]).rename_columns(
             ["event_type", "n", "s"])
 
-    stats = _merge_partials(
-        ds.map_batches(stat_partial, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        ["event_type"], [("n", "sum"), ("s", "sum")],
-        fallback_schema={"event_type": pa.string(), "n": pa.int64(),
-                         "s": pa.int64()})
+    stats = _rollup(
+        ds, stat_partial, ["event_type"], [("n", "sum"), ("s", "sum")])
     if stats.num_rows == 0:
         return empty
     stats = stats.sort_by("event_type")
@@ -8559,11 +8217,8 @@ def events_outliers(sf_dir: str) -> pa.Table:
         return t.group_by(["event_type"]).aggregate(
             [("o", "sum")]).rename_columns(["event_type", "o"])
 
-    outl = _merge_partials(
-        ds.map_batches(outlier_partial, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        ["event_type"], [("o", "sum")],
-        fallback_schema={"event_type": pa.string(), "o": pa.int64()},
+    outl = _rollup(
+        ds, outlier_partial, ["event_type"], [("o", "sum")]
     ).sort_by("event_type")
     return pa.table({
         "event_type": stats.column("event_type"),
@@ -8585,8 +8240,6 @@ def orders_monthly(sf_dir: str) -> pa.Table:
                       "revenue_c": pa.array([], pa.int64()),
                       "delta_orders": pa.array([], pa.int64())})
     path = f"{sf_dir}/orders.parquet"
-    if _footer_rows(path) == 0:
-        return empty
     ds = _read_sized(path, columns=["o_orderdate", "o_totalprice"])
 
     def month_partial(batch: pa.Table) -> pa.Table:
@@ -8598,12 +8251,8 @@ def orders_monthly(sf_dir: str) -> pa.Table:
         return t.group_by(["month"]).aggregate(
             [("n", "sum"), ("r", "sum")]).rename_columns(["month", "n", "r"])
 
-    merged = _merge_partials(
-        ds.map_batches(month_partial, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        ["month"], [("n", "sum"), ("r", "sum")],
-        fallback_schema={"month": pa.timestamp("us"), "n": pa.int64(),
-                         "r": pa.int64()})
+    merged = _rollup(
+        ds, month_partial, ["month"], [("n", "sum"), ("r", "sum")])
     if merged.num_rows == 0:
         return empty
     merged = merged.sort_by("month")
@@ -8633,7 +8282,7 @@ def q13_order_distribution(
         tests pin both equal);
       - the histogram re-groups the per-customer counts by c_count —
         bounded cardinality (max orders per customer), so the final merge
-        is a `_merge_partials` driver fold of blocks × tiny rows;
+        is a `_rollup` driver fold of blocks × tiny rows;
       - the zero bucket is pure arithmetic: |customer| − |counted|.
     """
     from ray.data.aggregate import Sum
@@ -8678,9 +8327,7 @@ def q13_order_distribution(
         # per-block count partials and fold the histogram in numpy —
         # the distributed Aggregate's ~10 ms/block sort/combine cost
         # dominated this query at bench scale (q18/q21/q10 finding)
-        pt = _merge_partials(partials, ["o_custkey"], [("n", "sum")],
-                             fallback_schema={"o_custkey": pa.int64(),
-                                              "n": pa.int64()})
+        pt = _rollup(orders, count_partial, ["o_custkey"], [("n", "sum")])
         ckeys = np.sort(np.concatenate(
             [b.column("c_custkey").to_numpy()
              for b in customers.iter_batches(batch_format="pyarrow")]
@@ -8708,11 +8355,7 @@ def q13_order_distribution(
         return t.group_by(["c_count"]).aggregate(
             [("custdist", "sum")]).rename_columns(["c_count", "custdist"])
 
-    hist = _merge_partials(
-        valid.map_batches(hist_partial, batch_format="pyarrow",
-                          zero_copy_batch=True),
-        ["c_count"], [("custdist", "sum")],
-        fallback_schema={"c_count": pa.int64(), "custdist": pa.int64()})
+    hist = _rollup(valid, hist_partial, ["c_count"], [("custdist", "sum")])
     n_with = int(hist.column("custdist").to_numpy().sum()) if \
         hist.num_rows else 0
     return finish(hist, n_with)
@@ -8762,8 +8405,7 @@ def q10_returned_revenue(
             pc.less(batch.column("o_orderdate"), pa.scalar(hi)))
         return batch.filter(m).select(["o_orderkey", "o_custkey"])
 
-    banded = ords.map_batches(band, batch_format="pyarrow",
-                              zero_copy_batch=True).materialize()
+    banded = _materialize(ords, band)
     if banded.count() == 0:
         return empty
 
@@ -8782,9 +8424,6 @@ def q10_returned_revenue(
                             _cents(b.column("l_discount"))))})
         return t.group_by(["l_orderkey"]).aggregate(
             [("rev_c4", "sum")]).rename_columns(["l_orderkey", "rev_c4"])
-
-    partials = li.map_batches(rev_partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
 
     if R.route("q10_returned_revenue.orders", banded.count()) == "driver":
         b_tbl = _collect(banded).sort_by("o_orderkey")
@@ -8806,14 +8445,17 @@ def q10_returned_revenue(
                                          ).rename_columns(
                 ["o_custkey", "rev_c4"])
 
-        keyed = partials.map_batches(rekey, batch_format="pyarrow",
-                                     zero_copy_batch=True)
+        src, key_fn = li, lambda b: rekey(rev_partial(b))
     else:
-        keyed = partials.join(
+        partials = li.map_batches(rev_partial, batch_format="pyarrow",
+                                  zero_copy_batch=True)
+        src = partials.join(
             banded, join_type="inner",
             num_partitions=D._default_join_partitions(partials),
-            on=("l_orderkey",), right_on=("o_orderkey",),
-        ).select_columns(["o_custkey", "rev_c4"])
+            on=("l_orderkey",), right_on=("o_orderkey",))
+
+        def key_fn(b: pa.Table) -> pa.Table:
+            return b.select(["o_custkey", "rev_c4"])
 
     sort_keys = [("rev_c4", "descending"), ("o_custkey", "ascending")]
     n_cust = _footer_rows(f"{sf_dir}/customer.parquet")
@@ -8822,14 +8464,13 @@ def q10_returned_revenue(
         # the gate the (custkey, rev) partials driver-merge (the ~10 ms/
         # block distributed Aggregate cost dominates this query at bench
         # scale, same finding as q18/q21)
-        merged = _merge_partials(
-            keyed, ["o_custkey"], [("rev_c4", "sum")],
-            fallback_schema={"o_custkey": pa.int64(),
-                             "rev_c4": pa.int64()})
+        merged = _rollup(src, key_fn, ["o_custkey"], [("rev_c4", "sum")])
         if merged.num_rows == 0:
             return empty
         head = merged.take(pc.sort_indices(merged, sort_keys=sort_keys)[:k])
     else:
+        keyed = src.map_batches(key_fn, batch_format="pyarrow",
+                                zero_copy_batch=True)
         summed = keyed.groupby("o_custkey").aggregate(Sum("rev_c4")
                                                       ).rename_columns(
             ["o_custkey", "rev_c4"])
@@ -8841,11 +8482,7 @@ def q10_returned_revenue(
                                             pa.int64())})
             return t.take(pc.sort_indices(t, sort_keys=sort_keys)[:k])
 
-        merged = _collect(
-            summed.map_batches(block_topk, batch_format="pyarrow",
-                               zero_copy_batch=True),
-            fallback_schema={"o_custkey": pa.int64(),
-                             "rev_c4": pa.int64()})
+        merged = _gather(summed, block_topk)
         if merged.num_rows == 0:
             return empty
         head = merged.take(pc.sort_indices(merged,
@@ -8863,13 +8500,11 @@ def q10_returned_revenue(
             "c_name": b.column("c_name"),
             "c_nationkey": pc.cast(b.column("c_nationkey"), pa.int64())})
 
-    cust = _collect(
+    cust = _gather(
         _read_sized(f"{sf_dir}/customer.parquet",
                     columns=["c_custkey", "c_name", "c_nationkey"]
-                    ).map_batches(member_cust, batch_format="pyarrow",
-                                  zero_copy_batch=True),
-        fallback_schema={"c_custkey": pa.int64(), "c_name": pa.string(),
-                         "c_nationkey": pa.int64()})
+                    ),
+        member_cust)
     names = dict(zip(cust.column("c_custkey").to_pylist(),
                      zip(cust.column("c_name").to_pylist(),
                          cust.column("c_nationkey").to_pylist())))
@@ -8936,8 +8571,7 @@ def events_dau_wau(sf_dir: str) -> pa.Table:
 
     gated = R.route("events_dau_wau", n_rows) == "driver"
     if gated:
-        uid, day = _dedup_driver(_collect(blocks, fallback_schema={
-            "user_id": pa.int64(), "day": pa.int64()}))
+        uid, day = _dedup_driver(_gather(ds, pair_partial))
         if len(uid) == 0:
             return empty
         days = np.unique(day)
@@ -8966,11 +8600,10 @@ def events_dau_wau(sf_dir: str) -> pa.Table:
     pairs = blocks.groupby(["user_id", "day"]).aggregate(Count()
                                                          ).select_columns(
         ["user_id", "day"]).materialize()
-    day_tbl = _collect(
-        pairs.map_batches(
-            lambda b: pa.table({"day": pa.array(
-                np.unique(b.column("day").to_numpy()), pa.int64())}),
-            batch_format="pyarrow", zero_copy_batch=True))
+    day_tbl = _gather(
+        pairs,
+        lambda b: pa.table({"day": pa.array(
+            np.unique(b.column("day").to_numpy()), pa.int64())}))
     days = np.unique(day_tbl.column("day").to_numpy())
     days_ref = ray.put(days)
 
@@ -8980,12 +8613,7 @@ def events_dau_wau(sf_dir: str) -> pa.Table:
         return t.group_by(["day"]).aggregate([("n", "sum")]
                                              ).rename_columns(["day", "n"])
 
-    dau_t = _merge_partials(
-        pairs.map_batches(dau_partial, batch_format="pyarrow",
-                          zero_copy_batch=True),
-        ["day"], [("n", "sum")],
-        fallback_schema={"day": pa.int64(), "n": pa.int64()}
-    ).sort_by("day")
+    dau_t = _rollup(pairs, dau_partial, ["day"], [("n", "sum")]).sort_by("day")
 
     def expand(batch: pa.Table) -> pa.Table:
         dd = ray.get(days_ref)
@@ -9004,12 +8632,8 @@ def events_dau_wau(sf_dir: str) -> pa.Table:
     wau_pairs = pairs.map_batches(
         expand, batch_format="pyarrow", zero_copy_batch=True,
     ).groupby(["user_id", "day"]).aggregate(Count())
-    wau_t = _merge_partials(
-        wau_pairs.map_batches(dau_partial, batch_format="pyarrow",
-                              zero_copy_batch=True),
-        ["day"], [("n", "sum")],
-        fallback_schema={"day": pa.int64(), "n": pa.int64()}
-    ).sort_by("day")
+    wau_t = _rollup(
+        wau_pairs, dau_partial, ["day"], [("n", "sum")]).sort_by("day")
     return pa.table({
         "day": pa.array(dau_t.column("day").to_numpy().view("datetime64[us]")),
         "dau": pc.cast(dau_t.column("n"), pa.int64()),
@@ -9068,11 +8692,7 @@ def skipgram_pairs(
                       "n": pc.cast(b.column("n"), pa.int64())})
         return t.take(pc.sort_indices(t, sort_keys=sort_keys)[:k])
 
-    merged = _collect(
-        summed.map_batches(block_topk, batch_format="pyarrow",
-                           zero_copy_batch=True),
-        fallback_schema={"w1": pa.string(), "w2": pa.string(),
-                         "n": pa.int64()})
+    merged = _gather(summed, block_topk)
     return merged.take(pc.sort_indices(merged, sort_keys=sort_keys)[:k])
 
 
@@ -9093,17 +8713,10 @@ def cross_source_contamination(sf_dir: str) -> pa.Table:
     bounded source dimension."""
     from ray.data.aggregate import Count, Sum
 
-    empty = pa.table({"src_a": pa.array([], pa.string()),
-                      "src_b": pa.array([], pa.string()),
-                      "n_shared": pa.array([], pa.int64())})
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return empty
     ds = _docs_sized(sf_dir, columns=["text", "source"], rows_per_block=1024)
 
-    sources = sorted(set(pa.concat_tables(
-        _docs_sized(sf_dir, columns=["source"]).iter_batches(
-            batch_format="pyarrow")
-    ).column("source").to_pylist()))
+    sources = sorted(set(_collect(
+        _docs_sized(sf_dir, columns=["source"])).column("source").to_pylist()))
     if len(sources) > 62:
         raise ValueError("cross_source_contamination bitmask supports <=62 "
                          "sources; shard the source dimension first")
@@ -9162,12 +8775,7 @@ def cross_source_contamination(sf_dir: str) -> pa.Table:
                          "src_b": pa.array(rows_b, pa.string()),
                          "n_shared": pa.array(shared, pa.int64())})
 
-    merged = _merge_partials(
-        masks.map_batches(tally, batch_format="pyarrow",
-                          zero_copy_batch=True),
-        ["src_a", "src_b"], [("n_shared", "sum")],
-        fallback_schema={"src_a": pa.string(), "src_b": pa.string(),
-                         "n_shared": pa.int64()})
+    merged = _rollup(masks, tally, ["src_a", "src_b"], [("n_shared", "sum")])
     merged = merged.filter(pc.greater(merged.column("n_shared"), 0))
     return merged.take(pc.sort_indices(
         merged, sort_keys=[("src_a", "ascending"), ("src_b", "ascending")]))
@@ -9229,8 +8837,7 @@ def q16_part_suppliers(
     n_rows = _footer_rows(f"{sf_dir}/lineitem.parquet")
     gated = R.route("q16_part_suppliers.pairs", n_rows) == "driver"
     if gated:
-        t = _collect(blocks, fallback_schema={"l_partkey": pa.int64(),
-                                              "l_suppkey": pa.int64()})
+        t = _gather(li, pair_partial)
         pk = t.column("l_partkey").to_numpy()
         sk = t.column("l_suppkey").to_numpy()
         order = np.lexsort((sk, pk))
@@ -9316,9 +8923,7 @@ def q16_part_suppliers(
     tri = keyed.map_batches(class_partial, batch_format="pyarrow",
                             zero_copy_batch=True)
     if gated:
-        t = _collect(tri, fallback_schema={
-            "p_brand": pa.string(), "p_type": pa.string(),
-            "l_suppkey": pa.int64()})
+        t = _collect(tri)
         dedup = t.group_by(["p_brand", "p_type", "l_suppkey"]).aggregate([])
         counts = dedup.group_by(["p_brand", "p_type"]).aggregate(
             [("l_suppkey", "count")]).rename_columns(
@@ -9336,12 +8941,8 @@ def q16_part_suppliers(
                 [("supplier_cnt", "sum")]).rename_columns(
                 ["p_brand", "p_type", "supplier_cnt"])
 
-        counts = _merge_partials(
-            dd.map_batches(cnt_partial, batch_format="pyarrow",
-                           zero_copy_batch=True),
-            ["p_brand", "p_type"], [("supplier_cnt", "sum")],
-            fallback_schema={"p_brand": pa.string(), "p_type": pa.string(),
-                             "supplier_cnt": pa.int64()})
+        counts = _rollup(
+            dd, cnt_partial, ["p_brand", "p_type"], [("supplier_cnt", "sum")])
     return finish_counts(counts)
 
 
@@ -9466,34 +9067,25 @@ def q7_nation_volume(
     n_ords = _footer_rows(f"{sf_dir}/orders.parquet")
 
     if R.route("q7_nation_volume", n_ords) == "driver":
-        ot = _collect(
-            ords.map_batches(order_filter, batch_format="pyarrow",
-                             zero_copy_batch=True),
-            fallback_schema={"o_orderkey": pa.int64(), "cnat": pa.int64()})
+        ot = _gather(ords, order_filter)
         if ot.num_rows == 0:
             return empty
         ot = ot.sort_by("o_orderkey")
-        partial = li.map_batches(
-            li_partial_factory(ot.column("o_orderkey").to_numpy(),
-                               ot.column("cnat").to_numpy()),
-            batch_format="pyarrow", zero_copy_batch=True)
-        return _q7_finish(partial, key_to_name)
+        return _q7_finish(li, li_partial_factory(
+            ot.column("o_orderkey").to_numpy(),
+            ot.column("cnat").to_numpy()), key_to_name)
 
-    of = ords.map_batches(order_filter, batch_format="pyarrow",
-                          zero_copy_batch=True).materialize()
+    of = _materialize(ords, order_filter)
     n_of = of.count()
     if n_of == 0:
         return empty
     if n_of <= 16:
         # pathologically thin join side (the schema-less empty-block
         # gotcha): collect it and take the broadcast math
-        ot = pa.concat_tables(
-            of.iter_batches(batch_format="pyarrow")).sort_by("o_orderkey")
-        partial = li.map_batches(
-            li_partial_factory(ot.column("o_orderkey").to_numpy(),
-                               ot.column("cnat").to_numpy()),
-            batch_format="pyarrow", zero_copy_batch=True)
-        return _q7_finish(partial, key_to_name)
+        ot = _collect(of).sort_by("o_orderkey")
+        return _q7_finish(li, li_partial_factory(
+            ot.column("o_orderkey").to_numpy(),
+            ot.column("cnat").to_numpy()), key_to_name)
     sk_ref, sn_ref = ray.put(s_keys), ray.put(s_nat)
 
     def li_slim(b: pa.Table) -> pa.Table:
@@ -9531,16 +9123,13 @@ def q7_nation_volume(
         return rollup(sn[keep], cn[keep],
                       b.column("l_year").to_numpy()[keep], rev)
 
-    partial = joined.map_batches(rev_partial, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-    return _q7_finish(partial, key_to_name)
+    return _q7_finish(joined, rev_partial, key_to_name)
 
 
-def _q7_finish(partial, key_to_name: dict) -> pa.Table:
+def _q7_finish(src, partial, key_to_name: dict) -> pa.Table:
     """Bounded (2 pairs × years) partial merge + name map + Q7 order."""
-    merged = _merge_partials(partial, ["snk", "cnk", "l_year"],
-                             [("revenue_c4", "sum")],
-                             fallback_schema=_Q7_SCHEMA)
+    merged = _rollup(src, partial, ["snk", "cnk", "l_year"],
+                     [("revenue_c4", "sum")])
     out = pa.table({
         "supp_nation": pa.array(
             [key_to_name[k] for k in merged.column("snk").to_pylist()],
@@ -9605,11 +9194,9 @@ def q15_top_supplier(
                  "l_discount"], rows_per_block=8192)
     partials = li.map_batches(rev_partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    fb = {"l_suppkey": pa.int64(), "total_revenue_c4": pa.int64()}
     if R.route("q15_top_supplier", n_sup) == "driver":
-        per_sup = _merge_partials(partials, ["l_suppkey"],
-                                  [("total_revenue_c4", "sum")],
-                                  fallback_schema=fb)
+        per_sup = _rollup(
+            li, rev_partial, ["l_suppkey"], [("total_revenue_c4", "sum")])
         if per_sup.num_rows == 0:
             return empty
         rev = per_sup.column("total_revenue_c4").to_numpy()
@@ -9696,12 +9283,8 @@ def q17_small_qty_revenue(
     li_cols = ["l_partkey", "l_quantity", "l_extendedprice"]
     li = _read_sized(f"{sf_dir}/lineitem.parquet", columns=li_cols,
                      rows_per_block=8192)
-    stats = _merge_partials(
-        li.map_batches(qty_partial, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        ["l_partkey"], [("sum_qty_c", "sum"), ("cnt", "sum")],
-        fallback_schema={"l_partkey": pa.int64(), "sum_qty_c": pa.int64(),
-                         "cnt": pa.int64()})
+    stats = _rollup(
+        li, qty_partial, ["l_partkey"], [("sum_qty_c", "sum"), ("cnt", "sum")])
     if stats.num_rows == 0:
         return out_zero
     stats = stats.sort_by("l_partkey")
@@ -9719,10 +9302,7 @@ def q17_small_qty_revenue(
             "revenue_c": pa.array([int(price_c.sum())], pa.int64()),
             "n_items": pa.array([int(keep.sum())], pa.int64())})
 
-    parts = _collect(
-        li.map_batches(small_partial, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        fallback_schema={"revenue_c": pa.int64(), "n_items": pa.int64()})
+    parts = _gather(li, small_partial)
     return pa.table({
         "revenue_c": pa.array(
             [int(pc.sum(parts.column("revenue_c")).as_py() or 0)],
@@ -9797,10 +9377,7 @@ def q19_disjunctive_revenue(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_quantity", "l_extendedprice",
                  "l_discount"], rows_per_block=8192)
-    parts = _collect(
-        li.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        fallback_schema={"revenue_c4": pa.int64(), "n_items": pa.int64()})
+    parts = _gather(li, partial)
     return pa.table({
         "revenue_c4": pa.array(
             [int(pc.sum(parts.column("revenue_c4")).as_py() or 0)],
@@ -9831,8 +9408,6 @@ def q22_sales_opportunity(sf_dir: str, since: str = "2000-01-01") -> pa.Table:
     empty = pa.table({"cntrycode": pa.array([], pa.int64()),
                       "numcust": pa.array([], pa.int64()),
                       "totacctbal_c": pa.array([], pa.int64())})
-    if _footer_rows(f"{sf_dir}/customer.parquet") == 0:
-        return empty
     cust = _read_sized(f"{sf_dir}/customer.parquet",
                        columns=["c_custkey", "c_nationkey", "c_acctbal"])
 
@@ -9843,10 +9418,7 @@ def q22_sales_opportunity(sf_dir: str, since: str = "2000-01-01") -> pa.Table:
             "sum_pos_c": pa.array([int(bal_c[pos].sum())], pa.int64()),
             "n_pos": pa.array([int(pos.sum())], pa.int64())})
 
-    pos = _collect(
-        cust.map_batches(pos_partial, batch_format="pyarrow",
-                         zero_copy_batch=True),
-        fallback_schema={"sum_pos_c": pa.int64(), "n_pos": pa.int64()})
+    pos = _gather(cust, pos_partial)
     sum_c = int(pc.sum(pos.column("sum_pos_c")).as_py() or 0)
     n_pos = int(pc.sum(pos.column("n_pos")).as_py() or 0)
     if n_pos == 0:
@@ -9891,11 +9463,9 @@ def q22_sales_opportunity(sf_dir: str, since: str = "2000-01-01") -> pa.Table:
             return rollup(b.column("c_nationkey").to_numpy()[keep],
                           bal_c[keep])
 
-        merged = _merge_partials(
-            cust.map_batches(anti_partial, batch_format="pyarrow",
-                             zero_copy_batch=True),
-            ["cntrycode"], [("numcust", "sum"), ("totacctbal_c", "sum")],
-            fallback_schema=fb)
+        merged = _rollup(
+            cust, anti_partial, ["cntrycode"],
+            [("numcust", "sum"), ("totacctbal_c", "sum")])
         return merged.sort_by("cntrycode")
 
     def select_cust(b: pa.Table) -> pa.Table:
@@ -9908,8 +9478,7 @@ def q22_sales_opportunity(sf_dir: str, since: str = "2000-01-01") -> pa.Table:
                 pa.int64()),
             "bal_c": pa.array(bal_c[keep], pa.int64())})
 
-    sel = cust.map_batches(select_cust, batch_format="pyarrow",
-                           zero_copy_batch=True).materialize()
+    sel = _materialize(cust, select_cust)
     if sel.count() == 0:
         return empty
     from ray.data.aggregate import Count
@@ -9928,13 +9497,11 @@ def q22_sales_opportunity(sf_dir: str, since: str = "2000-01-01") -> pa.Table:
         join_type="left_anti",
         num_partitions=D._default_join_partitions(sel),
         on=("c_custkey",), right_on=("o_custkey",))
-    merged = _merge_partials(
-        left.map_batches(
-            lambda b: rollup(b.column("cntrycode").to_numpy(),
-                             b.column("bal_c").to_numpy()),
-            batch_format="pyarrow", zero_copy_batch=True),
-        ["cntrycode"], [("numcust", "sum"), ("totacctbal_c", "sum")],
-        fallback_schema=fb)
+    merged = _rollup(
+        left,
+        lambda b: rollup(b.column("cntrycode").to_numpy(),
+                         b.column("bal_c").to_numpy()),
+        ["cntrycode"], [("numcust", "sum"), ("totacctbal_c", "sum")])
     return merged.sort_by("cntrycode")
 
 
@@ -10051,11 +9618,11 @@ def q8_market_share(
 
         return li_partial
 
-    def finish(partial) -> pa.Table:
-        return _merge_partials(
-            partial, ["o_year"],
-            [("nation_rev_c4", "sum"), ("total_rev_c4", "sum")],
-            fallback_schema=_Q8_SCHEMA).sort_by("o_year")
+    def finish(src, partial) -> pa.Table:
+        return _rollup(
+            src, partial, ["o_year"],
+            [("nation_rev_c4", "sum"), ("total_rev_c4", "sum")]
+        ).sort_by("o_year")
 
     li = _read_sized(
         f"{sf_dir}/lineitem.parquet",
@@ -10066,32 +9633,25 @@ def q8_market_share(
     n_ords = _footer_rows(f"{sf_dir}/orders.parquet")
 
     if R.route("q8_market_share", n_ords) == "driver":
-        ot = _collect(
-            ords.map_batches(order_filter, batch_format="pyarrow",
-                             zero_copy_batch=True),
-            fallback_schema={"o_orderkey": pa.int64(), "o_year": pa.int64()})
+        ot = _gather(ords, order_filter)
         if ot.num_rows == 0:
             return empty
         ot = ot.sort_by("o_orderkey")
-        return finish(li.map_batches(
-            li_partial_factory(ot.column("o_orderkey").to_numpy(),
-                               ot.column("o_year").to_numpy()),
-            batch_format="pyarrow", zero_copy_batch=True))
+        return finish(li, li_partial_factory(
+            ot.column("o_orderkey").to_numpy(),
+            ot.column("o_year").to_numpy()))
 
-    of = ords.map_batches(order_filter, batch_format="pyarrow",
-                          zero_copy_batch=True).materialize()
+    of = _materialize(ords, order_filter)
     n_of = of.count()
     if n_of == 0:
         return empty
     if n_of <= 16:
         # pathologically thin join side (schema-less empty-block gotcha):
         # collect it and take the broadcast math
-        ot = pa.concat_tables(
-            of.iter_batches(batch_format="pyarrow")).sort_by("o_orderkey")
-        return finish(li.map_batches(
-            li_partial_factory(ot.column("o_orderkey").to_numpy(),
-                               ot.column("o_year").to_numpy()),
-            batch_format="pyarrow", zero_copy_batch=True))
+        ot = _collect(of).sort_by("o_orderkey")
+        return finish(li, li_partial_factory(
+            ot.column("o_orderkey").to_numpy(),
+            ot.column("o_year").to_numpy()))
 
     def li_slim(b: pa.Table) -> pa.Table:
         pks = ray.get(pk_ref)
@@ -10120,8 +9680,7 @@ def q8_market_share(
                       b.column("rev_c4").to_numpy(),
                       b.column("is_target").to_numpy(zero_copy_only=False))
 
-    return finish(joined.map_batches(rev_partial, batch_format="pyarrow",
-                                     zero_copy_batch=True))
+    return finish(joined, rev_partial)
 
 
 _Q9_SCHEMA = {"nk": pa.int64(), "o_year": pa.int64(),
@@ -10205,10 +9764,9 @@ def q9_product_profit(sf_dir: str, name_like: str = "red") -> pa.Table:
 
         return li_partial
 
-    def finish(partial) -> pa.Table:
-        merged = _merge_partials(partial, ["nk", "o_year"],
-                                 [("profit_c4", "sum")],
-                                 fallback_schema=_Q9_SCHEMA)
+    def finish(src, partial) -> pa.Table:
+        merged = _rollup(src, partial, ["nk", "o_year"],
+                         [("profit_c4", "sum")])
         out = pa.table({
             "nation": pa.array(
                 [key_to_name.get(k, "") for k in
@@ -10238,15 +9796,18 @@ def q9_product_profit(sf_dir: str, name_like: str = "red") -> pa.Table:
     n_ords = _footer_rows(f"{sf_dir}/orders.parquet")
 
     if R.route("q9_product_profit", n_ords) == "driver":
-        ot = _collect(ords, fallback_schema={"o_orderkey": pa.int64(),
-                                             "o_year": pa.int64()})
+        ot = _gather(
+            _read_sized(f"{sf_dir}/orders.parquet",
+                        columns=["o_orderkey", "o_orderdate"],
+                        rows_per_block=8192
+                        ),
+            order_year)
         if ot.num_rows == 0:
             return empty
         ot = ot.sort_by("o_orderkey")
-        return finish(li.map_batches(
-            li_partial_factory(ot.column("o_orderkey").to_numpy(),
-                               ot.column("o_year").to_numpy()),
-            batch_format="pyarrow", zero_copy_batch=True))
+        return finish(li, li_partial_factory(
+            ot.column("o_orderkey").to_numpy(),
+            ot.column("o_year").to_numpy()))
 
     def li_slim(b: pa.Table) -> pa.Table:
         pks, pret = ray.get(pk_ref), ray.get(pr_ref)
@@ -10278,12 +9839,9 @@ def q9_product_profit(sf_dir: str, name_like: str = "red") -> pa.Table:
         ofull, join_type="inner",
         num_partitions=D._default_join_partitions(slim),
         on=("l_orderkey",), right_on=("o_orderkey",))
-    partial = joined.map_batches(
-        lambda b: rollup(b.column("nk").to_numpy(),
-                         b.column("o_year").to_numpy(),
-                         b.column("amt_c4").to_numpy()),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return finish(partial)
+    return finish(joined, lambda b: rollup(
+        b.column("nk").to_numpy(), b.column("o_year").to_numpy(),
+        b.column("amt_c4").to_numpy()))
 
 
 def q11_important_parts(
@@ -10339,18 +9897,14 @@ def q11_important_parts(
             [("value_c4", "sum")]).rename_columns(
             ["l_partkey", "value_c4"])
 
-    partial = _read_sized(
+    li = _read_sized(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_suppkey", "l_extendedprice",
-                 "l_discount"]).map_batches(
-        li_partial, batch_format="pyarrow", zero_copy_batch=True)
+                 "l_discount"])
 
     n_parts = _footer_rows(f"{sf_dir}/part.parquet")
     if R.route("q11_important_parts", n_parts) == "driver":
-        merged = _merge_partials(
-            partial, ["l_partkey"], [("value_c4", "sum")],
-            fallback_schema={"l_partkey": pa.int64(),
-                             "value_c4": pa.int64()})
+        merged = _rollup(li, li_partial, ["l_partkey"], [("value_c4", "sum")])
         vals = merged.column("value_c4").to_numpy()
         total = int(vals.sum())
         keep = vals * frac_den > total * frac_num
@@ -10358,7 +9912,9 @@ def q11_important_parts(
     else:
         from ray.data.aggregate import Sum
 
-        g = partial.groupby("l_partkey").aggregate(
+        g = li.map_batches(
+            li_partial, batch_format="pyarrow", zero_copy_batch=True
+        ).groupby("l_partkey").aggregate(
             Sum("value_c4", alias_name="value_c4")).materialize()
         if g.count() == 0:
             return empty
@@ -10368,11 +9924,7 @@ def q11_important_parts(
             v = b.column("value_c4").to_numpy()
             return b.filter(pa.array(v * frac_den > total * frac_num))
 
-        out = _collect(
-            g.map_batches(winners, batch_format="pyarrow",
-                          zero_copy_batch=True),
-            fallback_schema={"l_partkey": pa.int64(),
-                             "value_c4": pa.int64()})
+        out = _gather(g, winners)
     out = pa.table({"l_partkey": pc.cast(out.column("l_partkey"),
                                          pa.int64()),
                     "value_c4": out.column("value_c4")})
@@ -10421,11 +9973,11 @@ def q12_late_shipment_priority(sf_dir: str, late_days: int = 60) -> pa.Table:
         ).rename_columns(["l_linestatus", "high_line_count",
                           "low_line_count"])
 
-    def finish(partial) -> pa.Table:
-        return _merge_partials(
-            partial, ["l_linestatus"],
-            [("high_line_count", "sum"), ("low_line_count", "sum")],
-            fallback_schema=_Q12_SCHEMA).sort_by("l_linestatus")
+    def finish(src, partial) -> pa.Table:
+        return _rollup(
+            src, partial, ["l_linestatus"],
+            [("high_line_count", "sum"), ("low_line_count", "sum")]
+        ).sort_by("l_linestatus")
 
     li = _read_sized(
         f"{sf_dir}/lineitem.parquet",
@@ -10439,9 +9991,12 @@ def q12_late_shipment_priority(sf_dir: str, late_days: int = 60) -> pa.Table:
     n_ords = _footer_rows(f"{sf_dir}/orders.parquet")
 
     if R.route("q12_late_shipment_priority", n_ords) == "driver":
-        ot = _collect(ords, fallback_schema={
-            "o_orderkey": pa.int64(), "od_us": pa.int64(),
-            "is_high": pa.bool_()})
+        ot = _gather(
+            _read_sized(f"{sf_dir}/orders.parquet",
+                        columns=["o_orderkey", "o_orderdate",
+                                 "o_orderpriority"], rows_per_block=8192
+                        ),
+            order_slim)
         if ot.num_rows == 0:
             return empty
         ot = ot.sort_by("o_orderkey")
@@ -10465,8 +10020,7 @@ def q12_late_shipment_priority(sf_dir: str, late_days: int = 60) -> pa.Table:
             return rollup(b.column("l_linestatus").filter(pa.array(keep)),
                           highs[oi[keep]])
 
-        return finish(li.map_batches(li_partial, batch_format="pyarrow",
-                                     zero_copy_batch=True))
+        return finish(li, li_partial)
 
     ofull = ords.materialize()
     if ofull.count() == 0:
@@ -10486,8 +10040,7 @@ def q12_late_shipment_priority(sf_dir: str, late_days: int = 60) -> pa.Table:
             b.column("l_linestatus").filter(pa.array(keep)),
             b.column("is_high").to_numpy(zero_copy_only=False)[keep])
 
-    return finish(joined.map_batches(late_partial, batch_format="pyarrow",
-                                     zero_copy_batch=True))
+    return finish(joined, late_partial)
 
 
 def _q21_driver_tail(ok: np.ndarray, sk: np.ndarray,
@@ -10610,8 +10163,7 @@ def _q21_impl(sf_dir: str, status: str, k: int) -> pa.Table:
                                  for n, t in pair_fb.items()})
             return pair_rollup(b.filter(pa.array(hit)))
 
-        pairs = li.map_batches(pair_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
+        src, pair_fn = li, pair_partial
     else:
         fmat = fkeys_ds.materialize()
         if fmat.count() == 0:
@@ -10620,8 +10172,7 @@ def _q21_impl(sf_dir: str, status: str, k: int) -> pa.Table:
             fmat, join_type="inner",
             num_partitions=D._default_join_partitions(li),
             on=("l_orderkey",), right_on=("o_orderkey",))
-        pairs = joined.map_batches(pair_rollup, batch_format="pyarrow",
-                                   zero_copy_batch=True)
+        src, pair_fn = joined, pair_rollup
 
     n_li = _footer_rows(f"{sf_dir}/lineitem.parquet")
     if R.route("q21_waiting_suppliers.pairs", n_li) == "driver":
@@ -10630,8 +10181,8 @@ def _q21_impl(sf_dir: str, status: str, k: int) -> pa.Table:
         # the millions, and ~40x faster than pushing a single collected
         # block back through the distributed groupby chain (measured
         # 33 s vs 0.8 s on the 600k-line bench table)
-        pt = _merge_partials(pairs, ["l_orderkey", "l_suppkey"],
-                             [("msd", "max")], fallback_schema=pair_fb)
+        pt = _rollup(src, pair_fn, ["l_orderkey", "l_suppkey"],
+                     [("msd", "max")])
         return finish(_q21_driver_tail(
             pt.column("l_orderkey").to_numpy(),
             pt.column("l_suppkey").to_numpy(),
@@ -10643,6 +10194,8 @@ def _q21_impl(sf_dir: str, status: str, k: int) -> pa.Table:
     # (batch_size=None keeps blocks intact).  Replaces the previous
     # 3-shuffle chain (composite groupby-Max → per-order map → two thin
     # groupbys): 28 s → single-shuffle on the 6.6M-pair 11× table.
+    pairs = src.map_batches(pair_fn, batch_format="pyarrow",
+                            zero_copy_batch=True)
     hashed = pairs.repartition(
         num_blocks=D._default_join_partitions(pairs),
         keys=["l_orderkey"])
@@ -10662,10 +10215,9 @@ def _q21_impl(sf_dir: str, status: str, k: int) -> pa.Table:
         return pa.table({"l_suppkey": pa.array(wk, pa.int64()),
                          "numwait": pa.array(wc, pa.int64())})
 
-    merged = _merge_partials(
-        hashed.map_batches(block_decide, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None),
-        ["l_suppkey"], [("numwait", "sum")], fallback_schema=part_fb)
+    merged = _rollup(
+        hashed, block_decide, ["l_suppkey"], [("numwait", "sum")],
+        batch_size=None)
     if merged.num_rows == 0:
         return empty
     return finish(np.repeat(merged.column("l_suppkey").to_numpy(),
@@ -10745,11 +10297,7 @@ def sentence_dedup(sf_dir: str, sent_words: int = 3) -> pa.Table:
         return pa.table(cols)
 
     if R.route("sentence_dedup", n_docs) == "driver":
-        occ = _collect(
-            docs.map_batches(lambda b: occurrences(b, False),
-                             batch_format="pyarrow", zero_copy_batch=True),
-            fallback_schema={"skey": pa.int64(), "doc_id": pa.int64(),
-                             "idx": pa.int64()})
+        occ = _gather(docs, lambda b: occurrences(b, False))
         if occ.num_rows == 0:
             return empty
         k = occ.column("skey").to_numpy()
@@ -10785,20 +10333,12 @@ def sentence_dedup(sf_dir: str, sent_words: int = 3) -> pa.Table:
                 "n_sents": pa.array(out_n, pa.int64()),
                 "n_kept": pa.array(out_kept, pa.int64())})
 
-        out = _collect(
-            docs.map_batches(rebuild, batch_format="pyarrow",
-                             zero_copy_batch=True),
-            fallback_schema={"doc_id": pa.int64(),
-                             "text_dedup": pa.string(),
-                             "n_sents": pa.int64(),
-                             "n_kept": pa.int64()})
+        out = _gather(docs, rebuild)
         return out.sort_by("doc_id")
 
     from ray.data.aggregate import Min
 
-    occ_ds = docs.map_batches(lambda b: occurrences(b, True),
-                              batch_format="pyarrow",
-                              zero_copy_batch=True).materialize()
+    occ_ds = _materialize(docs, lambda b: occurrences(b, True))
     if occ_ds.count() == 0:
         return empty
     w1 = occ_ds.groupby("skey").aggregate(
@@ -10834,14 +10374,8 @@ def sentence_dedup(sf_dir: str, sent_words: int = 3) -> pa.Table:
         return pa.table({"doc_id": pc.cast(b.column("doc_id"), pa.int64()),
                          "n_sents": pa.array(n, pa.int64())})
 
-    tot = _collect(
-        docs.map_batches(totals, batch_format="pyarrow",
-                         zero_copy_batch=True),
-        fallback_schema={"doc_id": pa.int64(), "n_sents": pa.int64()}
-    ).sort_by("doc_id")
-    rb = _collect(rebuilt, fallback_schema={
-        "doc_id": pa.int64(), "text_dedup": pa.string(),
-        "n_kept": pa.int64()}).sort_by("doc_id")
+    tot = _gather(docs, totals).sort_by("doc_id")
+    rb = _collect(rebuilt).sort_by("doc_id")
     hit, ri = _sorted_member(rb.column("doc_id").to_numpy(),
                              tot.column("doc_id").to_numpy())
     texts = rb.column("text_dedup").to_pylist()
@@ -10927,11 +10461,10 @@ def q2_min_acctbal_supplier(
             ["l_partkey", "l_suppkey"]).group_by(
             ["l_partkey", "l_suppkey"]).aggregate([])
 
-    pairs = _read_sized(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_suppkey"], rows_per_block=8192
-    ).map_batches(pair_partial, batch_format="pyarrow",
-                  zero_copy_batch=True)
+    li = _read_sized(f"{sf_dir}/lineitem.parquet",
+                     columns=["l_partkey", "l_suppkey"], rows_per_block=8192)
+    pairs = li.map_batches(pair_partial, batch_format="pyarrow",
+                           zero_copy_batch=True)
 
     def finish(pkey: np.ndarray, skey: np.ndarray) -> pa.Table:
         if pkey.size == 0:
@@ -10960,7 +10493,7 @@ def q2_min_acctbal_supplier(
 
     n_li = _footer_rows(f"{sf_dir}/lineitem.parquet")
     if R.route("q2_min_acctbal_supplier", n_li) == "driver":
-        pt = _collect(pairs, fallback_schema=pair_fb)
+        pt = _gather(li, pair_partial)
         pt = pt.group_by(["l_partkey", "l_suppkey"]).aggregate([])
         return finish(pt.column("l_partkey").to_numpy(),
                       pt.column("l_suppkey").to_numpy())
@@ -10976,11 +10509,9 @@ def q2_min_acctbal_supplier(
         _, si = _sorted_member(s_keys, b.column("l_suppkey").to_numpy())
         return b.append_column("bal_c", pa.array(s_bal[si], pa.int64()))
 
-    Pb = P.map_batches(attach_bal, batch_format="pyarrow",
-                       zero_copy_batch=True).materialize()
+    Pb = _materialize(P, attach_bal)
     M = _collect(
-        Pb.groupby("l_partkey").aggregate(Min("bal_c", alias_name="mn")),
-        fallback_schema={"l_partkey": pa.int64(), "mn": pa.int64()}
+        Pb.groupby("l_partkey").aggregate(Min("bal_c", alias_name="mn"))
     ).sort_by("l_partkey")
     mk_ref = ray.put(M.column("l_partkey").to_numpy())
     mn_ref = ray.put(M.column("mn").to_numpy())
@@ -10992,10 +10523,7 @@ def q2_min_acctbal_supplier(
         return b.filter(pa.array(keep)).select(
             ["l_partkey", "l_suppkey"])
 
-    kept = _collect(
-        Pb.map_batches(tie_filter, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        fallback_schema=pair_fb)
+    kept = _gather(Pb, tie_filter)
     return finish(kept.column("l_partkey").to_numpy(),
                   kept.column("l_suppkey").to_numpy())
 
@@ -11062,12 +10590,12 @@ def q20_dominant_suppliers(
             [("q_c", "sum")]).rename_columns(
             ["l_partkey", "l_suppkey", "q_c"])
 
-    pairs = _read_sized(
+    li = _read_sized(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_suppkey", "l_quantity", "l_shipdate"],
-        rows_per_block=8192
-    ).map_batches(qty_partial, batch_format="pyarrow",
-                  zero_copy_batch=True)
+        rows_per_block=8192)
+    pairs = li.map_batches(qty_partial, batch_format="pyarrow",
+                           zero_copy_batch=True)
 
     def finish(pkey, skey, q) -> pa.Table:
         if pkey.size == 0:
@@ -11087,8 +10615,8 @@ def q20_dominant_suppliers(
 
     n_li = _footer_rows(f"{sf_dir}/lineitem.parquet")
     if R.route("q20_dominant_suppliers", n_li) == "driver":
-        pt = _merge_partials(pairs, ["l_partkey", "l_suppkey"],
-                             [("q_c", "sum")], fallback_schema=pair_fb)
+        pt = _rollup(li, qty_partial, ["l_partkey", "l_suppkey"],
+                     [("q_c", "sum")])
         return finish(pt.column("l_partkey").to_numpy(),
                       pt.column("l_suppkey").to_numpy(),
                       pt.column("q_c").to_numpy())
@@ -11100,8 +10628,7 @@ def q20_dominant_suppliers(
     if P.count() == 0:
         return empty
     M = _collect(
-        P.groupby("l_partkey").aggregate(Sum("q_c", alias_name="tot")),
-        fallback_schema={"l_partkey": pa.int64(), "tot": pa.int64()}
+        P.groupby("l_partkey").aggregate(Sum("q_c", alias_name="tot"))
     ).sort_by("l_partkey")
     mk_ref = ray.put(M.column("l_partkey").to_numpy())
     mt_ref = ray.put(M.column("tot").to_numpy())
@@ -11112,10 +10639,7 @@ def q20_dominant_suppliers(
         keep = hit & (b.column("q_c").to_numpy() * 2 > mt[mi])
         return b.filter(pa.array(keep)).select(["l_suppkey"])
 
-    kept = _collect(
-        P.map_batches(dom_filter, batch_format="pyarrow",
-                      zero_copy_batch=True),
-        fallback_schema={"l_suppkey": pa.int64()})
+    kept = _gather(P, dom_filter)
     wk = np.unique(kept.column("l_suppkey").to_numpy())
     hit, si = _sorted_member(s_keys, wk)
     if allowed is not None and hit.any():
@@ -11139,12 +10663,6 @@ def mixture_weights(sf_dir: str) -> pa.Table:
     (source, count, Σq_u) partials (source key space is the provider
     catalog — bounded), driver merge, then the ppm normalization is
     driver arithmetic over the bounded table."""
-    empty = pa.table({"source": pa.array([], pa.string()),
-                      "n_docs": pa.array([], pa.int64()),
-                      "quality_sum_u": pa.array([], pa.int64()),
-                      "weight_ppm": pa.array([], pa.int64())})
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return empty
 
     def partial(batch: pa.Table) -> pa.Table:
         q_u = [int(np.floor(T.quality_score(t or "") * 1_000_000 + 0.5))
@@ -11156,13 +10674,10 @@ def mixture_weights(sf_dir: str) -> pa.Table:
             [("n_docs", "sum"), ("quality_sum_u", "sum")]).rename_columns(
             ["source", "n_docs", "quality_sum_u"])
 
-    merged = _merge_partials(
+    merged = _rollup(
         _docs_sized(sf_dir, columns=["text", "source"],
-                    rows_per_block=1024).map_batches(
-            partial, batch_format="pyarrow", zero_copy_batch=True),
-        ["source"], [("n_docs", "sum"), ("quality_sum_u", "sum")],
-        fallback_schema={"source": pa.string(), "n_docs": pa.int64(),
-                         "quality_sum_u": pa.int64()})
+                    rows_per_block=1024),
+        partial, ["source"], [("n_docs", "sum"), ("quality_sum_u", "sum")])
     qs = merged.column("quality_sum_u").to_numpy()
     tot = int(qs.sum())
     ppm = (qs * 1_000_000 // tot if tot > 0
@@ -11192,8 +10707,6 @@ def token_budget_epochs(
                       "n_tokens": pa.array([], pa.int64()),
                       "epochs_ppm": pa.array([], pa.int64()),
                       "alloc_tokens": pa.array([], pa.int64())})
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return empty
 
     def partial(batch: pa.Table) -> pa.Table:
         n = [len(_GRAM_TOKEN_RE.findall((t or "").lower()))
@@ -11203,12 +10716,10 @@ def token_budget_epochs(
                         ).group_by(["source"]).aggregate(
             [("n_tokens", "sum")]).rename_columns(["source", "n_tokens"])
 
-    merged = _merge_partials(
+    merged = _rollup(
         _docs_sized(sf_dir, columns=["text", "source"],
-                    rows_per_block=1024).map_batches(
-            partial, batch_format="pyarrow", zero_copy_batch=True),
-        ["source"], [("n_tokens", "sum")],
-        fallback_schema={"source": pa.string(), "n_tokens": pa.int64()})
+                    rows_per_block=1024),
+        partial, ["source"], [("n_tokens", "sum")])
     if merged.num_rows == 0:
         return empty
     nt = merged.column("n_tokens").to_numpy().astype(np.int64)
@@ -11265,9 +10776,7 @@ def attribution_linear(sf_dir: str) -> pa.Table:
 
     cols = ["event_id", "user_id", "event_type", "ts"]
     if R.route("attribution_linear", n_rows) == "driver":
-        tbl = pa.concat_tables(
-            _read_sized(path, columns=cols).iter_batches(
-                batch_format="pyarrow"))
+        tbl = _collect(_read_sized(path, columns=cols))
         et = tbl.column("event_type").to_numpy(zero_copy_only=False)
         keep = (et == "click") | (et == "purchase")
         if not keep.any():
@@ -11302,11 +10811,7 @@ def attribution_linear(sf_dir: str) -> pa.Table:
 
     out = ds.groupby("user_id").map_groups(attr_group,
                                            batch_format="pyarrow")
-    return _collect(out, fallback_schema={
-        "event_id": pa.int64(), "user_id": pa.int64(),
-        "n_touches": pa.int64(), "credit_each_ppm": pa.int64(),
-        "credit_last_ppm": pa.int64(),
-    }).sort_by("event_id")
+    return _collect(out).sort_by("event_id")
 
 
 def doc_frequency(sf_dir: str, k: int = 25) -> pa.Table:
@@ -11350,11 +10855,7 @@ def doc_frequency(sf_dir: str, k: int = 25) -> pa.Table:
                                                   pa.int64()))
         return b.take(pc.sort_indices(b, sort_keys=keys)[:k])
 
-    tops = _collect(
-        agg.map_batches(block_topk, batch_format="pyarrow",
-                        zero_copy_batch=True),
-        fallback_schema={"term": pa.string(), "n_docs": pa.int64()},
-    )
+    tops = _gather(agg, block_topk)
     return tops.take(pc.sort_indices(tops, sort_keys=keys)[:k])
 
 
@@ -11390,12 +10891,8 @@ def blocklist_filter(sf_dir: str) -> pa.Table:
              "n_blocked": pa.array([hits[s][1] for s in keys], pa.int64())}
         )
 
-    merged = _merge_partials(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        ["source"], [("n_docs", "sum"), ("n_blocked", "sum")],
-        fallback_schema={"source": pa.string(), "n_docs": pa.int64(),
-                         "n_blocked": pa.int64()},
-    )
+    merged = _rollup(
+        ds, partial, ["source"], [("n_docs", "sum"), ("n_blocked", "sum")])
     kept = pc.subtract(merged.column("n_docs"), merged.column("n_blocked"))
     return merged.append_column(
         "n_kept", pc.cast(kept, pa.int64())
@@ -11440,12 +10937,7 @@ def char_entropy(sf_dir: str) -> pa.Table:
              "entropy": pa.array(out_e, pa.float64())}
         )
 
-    return _collect(
-        ds.map_batches(ent, batch_format="pyarrow", zero_copy_batch=True),
-        fallback_schema={"doc_id": pa.int64(), "n_cp": pa.int64(),
-                         "n_distinct_cp": pa.int64(),
-                         "entropy": pa.float64()},
-    ).sort_by("doc_id")
+    return _gather(ds, ent).sort_by("doc_id")
 
 
 def inter_event_gaps(sf_dir: str) -> pa.Table:
@@ -11492,9 +10984,8 @@ def inter_event_gaps(sf_dir: str) -> pa.Table:
         )
 
     if R.route("inter_event_gaps", n_rows) == "driver":
-        tbl = pa.concat_tables(_read_sized(
-            path, columns=["user_id", "event_type", "ts"]
-        ).iter_batches(batch_format="pyarrow"))
+        tbl = _collect(
+            _read_sized(path, columns=["user_id", "event_type", "ts"]))
         if tbl.num_rows == 0:
             return empty
         et = tbl.column("event_type").to_numpy(zero_copy_only=False)
@@ -11523,12 +11014,9 @@ def inter_event_gaps(sf_dir: str) -> pa.Table:
 
     partials = ds.groupby(["user_id", "event_type"]).map_groups(
         per_group, batch_format="pyarrow")
-    merged = _merge_partials(
-        partials, ["event_type"],
-        [("n_gaps", "sum"), ("sum_gap_us", "sum"), ("max_gap_us", "max")],
-        fallback_schema={"event_type": pa.string(), "n_gaps": pa.int64(),
-                         "sum_gap_us": pa.int64(), "max_gap_us": pa.int64()},
-    )
+    merged = _merge(
+        _collect(partials), ["event_type"],
+        [("n_gaps", "sum"), ("sum_gap_us", "sum"), ("max_gap_us", "max")])
     # per-(user,type) runs with zero gaps contribute n_gaps=0 rows; the
     # oracle's max over an all-null lag column is 0 via coalesce, matching
     return merged.sort_by("event_type")
@@ -11547,7 +11035,7 @@ def label_dispersion(sf_dir: str) -> pa.Table:
                      rows_per_block=2048)
 
     def partial(batch: pa.Table) -> pa.Table:
-        mat = S._to_matrix(batch, "embedding").astype(np.float64)
+        mat = S._as_matrix(S._to_matrix(batch, "embedding"), np.float64)
         labs = batch.column("label").to_numpy(zero_copy_only=False)
         norms = np.sqrt((mat * mat).sum(axis=1))
         nz = norms > 0
@@ -11567,11 +11055,7 @@ def label_dispersion(sf_dir: str) -> pa.Table:
                               pa.list_(pa.float64()))}
         )
 
-    rows = _collect(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        fallback_schema={"label": pa.int64(), "n": pa.int64(),
-                         "vsum": pa.list_(pa.float64())},
-    )
+    rows = _gather(ds, partial)
     agg: dict[int, tuple[int, np.ndarray]] = {}
     for lab, n, vs in zip(rows.column("label").to_pylist(),
                           rows.column("n").to_pylist(),
@@ -11662,9 +11146,8 @@ def cdc_chunk_stats(sf_dir: str, w: int = 8, div: int = 32) -> pa.Table:
     def finalize(doc_ids, n_ch, n_dup, dup_cp) -> pa.Table:
         """Left-join per-doc stats onto the full doc_id list so zero-chunk
         (empty-text) docs report zeros like the oracle's LEFT JOIN."""
-        all_ids = np.sort(pa.concat_tables(
-            _read_sized(path, columns=["doc_id"]).iter_batches(
-                batch_format="pyarrow")).column("doc_id").to_numpy())
+        all_ids = np.sort(_collect(
+            _read_sized(path, columns=["doc_id"])).column("doc_id").to_numpy())
         hit, ridx = _sorted_member(doc_ids, all_ids)
         z = np.zeros(len(all_ids), np.int64)
         pick = lambda v: np.where(hit, v[ridx] if len(v) else 0, z)
@@ -11676,9 +11159,7 @@ def cdc_chunk_stats(sf_dir: str, w: int = 8, div: int = 32) -> pa.Table:
     occ_ds = docs.map_batches(occurrences, batch_format="pyarrow",
                               zero_copy_batch=True)
     if R.route("cdc_chunk_stats", n_docs) == "driver":
-        occ = _collect(occ_ds, fallback_schema={
-            "ckey": pa.int64(), "doc_id": pa.int64(), "idx": pa.int64(),
-            "cp": pa.int64()})
+        occ = _collect(occ_ds)
         if occ.num_rows == 0:
             return finalize(np.array([], np.int64), *([np.array([], np.int64)] * 3))
         k = occ.column("ckey").to_numpy()
@@ -11734,9 +11215,7 @@ def cdc_chunk_stats(sf_dir: str, w: int = 8, div: int = 32) -> pa.Table:
                              zero_copy_batch=True).groupby(
         "doc_id").aggregate(Sum("n_chunks"), Sum("n_dup_chunks"),
                             Sum("dup_cp"))
-    tbl = _collect(agg, fallback_schema={
-        "doc_id": pa.int64(), "sum(n_chunks)": pa.int64(),
-        "sum(n_dup_chunks)": pa.int64(), "sum(dup_cp)": pa.int64()})
+    tbl = _collect(agg)
     tbl = tbl.sort_by("doc_id")
     return finalize(tbl.column(0).to_numpy(),
                     tbl.column(1).to_numpy().astype(np.int64),
@@ -11767,8 +11246,6 @@ def events_cube(sf_dir: str) -> pa.Table:
                       "grp_id": pa.array([3], pa.int64()),
                       "n_events": pa.array([0], pa.int64()),
                       "sum_value_c": pa.array([None], pa.int64())})
-    if _footer_rows(path) == 0:
-        return empty
     ds = _read_sized(path, columns=["event_type", "ts", "value"])
 
     def fine(b: pa.Table) -> pa.Table:
@@ -11780,13 +11257,9 @@ def events_cube(sf_dir: str) -> pa.Table:
         }).group_by(["event_type", "hod"]).aggregate(
             [("value_c", "sum"), ("value_c", "count")])
 
-    m = _merge_partials(
-        ds.map_batches(fine, batch_format="pyarrow", zero_copy_batch=True),
-        ["event_type", "hod"],
-        [("value_c_sum", "sum"), ("value_c_count", "sum")],
-        fallback_schema={"event_type": pa.string(), "hod": pa.int64(),
-                         "value_c_sum": pa.int64(),
-                         "value_c_count": pa.int64()})
+    m = _rollup(
+        ds, fine, ["event_type", "hod"],
+        [("value_c_sum", "sum"), ("value_c_count", "sum")])
     if m.num_rows == 0:
         return empty
     et = np.asarray(m.column("event_type").to_pylist(), dtype=object)
@@ -11855,8 +11328,6 @@ def event_rate_trends(sf_dir: str) -> pa.Table:
                       "n_days": pa.array([], pa.int64()),
                       "slope_ppm": pa.array([], pa.int64()),
                       "intercept_ppm": pa.array([], pa.int64())})
-    if _footer_rows(path) == 0:
-        return empty
     ds = _read_sized(path, columns=["event_type", "ts"])
 
     def daily(b: pa.Table) -> pa.Table:
@@ -11868,11 +11339,7 @@ def event_rate_trends(sf_dir: str) -> pa.Table:
             "y": pa.array(np.ones(b.num_rows, np.int64)),
         }).group_by(["event_type", "day"]).aggregate([("y", "sum")])
 
-    m = _merge_partials(
-        ds.map_batches(daily, batch_format="pyarrow", zero_copy_batch=True),
-        ["event_type", "day"], [("y_sum", "sum")],
-        fallback_schema={"event_type": pa.string(), "day": pa.int64(),
-                         "y_sum": pa.int64()})
+    m = _rollup(ds, daily, ["event_type", "day"], [("y_sum", "sum")])
     if m.num_rows == 0:
         return empty
     et = m.column("event_type").to_pylist()
@@ -11951,8 +11418,12 @@ def _systematic_sample_impl(sf_dir: str, n_target: int) -> pa.Table:
                          "cum_chars": pa.array(cum[keep], pa.int64())})
 
     if R.route("systematic_sample", n_docs) == "driver":
-        t = _collect(thin, fallback_schema={"doc_id": pa.int64(),
-                                            "n_chars": pa.int64()})
+        t = _gather(
+            _docs_sized(sf_dir, columns=["doc_id", "n_chars"],
+                        rows_per_block=4096),
+            lambda b: pa.table({
+                "doc_id": pc.cast(b.column("doc_id"), pa.int64()),
+                "n_chars": pc.cast(b.column("n_chars"), pa.int64())}))
         if t.num_rows == 0:
             return empty
         d = t.column("doc_id").to_numpy().astype(np.int64)
@@ -11972,11 +11443,7 @@ def _systematic_sample_impl(sf_dir: str, n_target: int) -> pa.Table:
                         ).group_by(["bucket"]).aggregate([("w", "sum")])
 
     # pass 1: bounded per-bucket weight sums → prefix offsets + stride
-    bs = _merge_partials(
-        thin.map_batches(bucketed, batch_format="pyarrow",
-                         zero_copy_batch=True),
-        ["bucket"], [("w_sum", "sum")],
-        fallback_schema={"bucket": pa.int64(), "w_sum": pa.int64()})
+    bs = _rollup(thin, bucketed, ["bucket"], [("w_sum", "sum")])
     if bs.num_rows == 0:
         return empty
     bk = bs.column("bucket").to_numpy().astype(np.int64)
@@ -12014,11 +11481,7 @@ def _systematic_sample_impl(sf_dir: str, n_target: int) -> pa.Table:
         cum = local - base + off[bi]
         return select(d, w, cum, stride)
 
-    out = _collect(
-        co.map_batches(block_select, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        fallback_schema={"doc_id": pa.int64(), "n_chars": pa.int64(),
-                         "cum_chars": pa.int64()})
+    out = _gather(co, block_select)
     return out.sort_by("doc_id")
 
 
@@ -12088,13 +11551,10 @@ def _format_roundtrip(sf_dir: str, fmt: str) -> pa.Table:
                  ("text_digest_sum", "sum")]).rename_columns(
                 ["source", "n_docs", "sum_chars", "text_digest_sum"])
 
-        m = _merge_partials(
-            back.map_batches(partial, batch_format="pyarrow"),
-            ["source"], [("n_docs", "sum"), ("sum_chars", "sum"),
-                         ("text_digest_sum", "sum")],
-            fallback_schema={"source": pa.string(), "n_docs": pa.int64(),
-                             "sum_chars": pa.int64(),
-                             "text_digest_sum": pa.int64()})
+        m = _rollup(
+            back, partial, ["source"],
+            [("n_docs", "sum"), ("sum_chars", "sum"),
+             ("text_digest_sum", "sum")])
         return m.sort_by("source")
     finally:
         shutil.rmtree(root, ignore_errors=True)
@@ -12113,11 +11573,6 @@ def jsonl_roundtrip(sf_dir: str) -> pa.Table:
 def clustering_coefficients(sf_dir: str) -> pa.Table:
     """Per-host local clustering coefficient (degree, triangle membership,
     cc in exact integer ppm); semantics and regimes in stages/graph.py."""
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return pa.table({"host": pa.array([], pa.string()),
-                         "degree": pa.array([], pa.int64()),
-                         "n_triangles": pa.array([], pa.int64()),
-                         "cc_ppm": pa.array([], pa.int64())})
     return G.clustering_coefficients(_weighted_host_edges(sf_dir))
 
 
@@ -12134,12 +11589,6 @@ def k_anonymity_audit(sf_dir: str, k: int = 5, bucket: int = 256) -> pa.Table:
     × buckets), so per-block count partials fold in one bounded driver
     merge — one scan, no shuffle, and only violating rows are emitted."""
     path = f"{sf_dir}/documents.parquet"
-    empty = pa.table({"lang": pa.array([], pa.string()),
-                      "source": pa.array([], pa.string()),
-                      "len_bucket": pa.array([], pa.int64()),
-                      "n_docs": pa.array([], pa.int64())})
-    if _footer_rows(path) == 0:
-        return empty
     ds = _read_sized(path, columns=["lang", "source", "n_chars"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -12152,13 +11601,8 @@ def k_anonymity_audit(sf_dir: str, k: int = 5, bucket: int = 256) -> pa.Table:
         }).group_by(["lang", "source", "len_bucket"]).aggregate(
             [("n_docs", "sum")])
 
-    m = _merge_partials(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        ["lang", "source", "len_bucket"], [("n_docs_sum", "sum")],
-        fallback_schema={"lang": pa.string(), "source": pa.string(),
-                         "len_bucket": pa.int64(),
-                         "n_docs_sum": pa.int64()})
+    m = _rollup(
+        ds, partial, ["lang", "source", "len_bucket"], [("n_docs_sum", "sum")])
     m = m.rename_columns(["lang", "source", "len_bucket", "n_docs"])
     m = m.filter(pc.less(m.column("n_docs"), pa.scalar(k, pa.int64())))
     return m.sort_by([("lang", "ascending"), ("source", "ascending"),
@@ -12168,9 +11612,6 @@ def k_anonymity_audit(sf_dir: str, k: int = 5, bucket: int = 256) -> pa.Table:
 def degree_assortativity(sf_dir: str) -> pa.Table:
     """Global degree assortativity of the host graph in exact integer ppm;
     semantics and scale shape in stages/graph.py."""
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return pa.table({"n_edges": pa.array([0], pa.int64()),
-                         "r_ppm": pa.array([None], pa.int64())})
     return G.degree_assortativity(_weighted_host_edges(sf_dir))
 
 
@@ -12195,8 +11636,6 @@ def partition_prune_certificate(
     empty = pa.table({"lang": pa.array([], pa.string()),
                       "n_docs": pa.array([], pa.int64()),
                       "sum_chars": pa.array([], pa.int64())})
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return empty
     ds = _docs_sized(sf_dir, columns=["doc_id", "lang", "n_chars"])
     root = tempfile.mkdtemp(prefix="partition_prune_")
     try:
@@ -12235,12 +11674,9 @@ def partition_prune_certificate(
             }).group_by(["lang"]).aggregate(
                 [("n_docs", "sum"), ("sum_chars", "sum")])
 
-        m = _merge_partials(
-            back.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True),
-            ["lang"], [("n_docs_sum", "sum"), ("sum_chars_sum", "sum")],
-            fallback_schema={"lang": pa.string(), "n_docs_sum": pa.int64(),
-                             "sum_chars_sum": pa.int64()})
+        m = _rollup(
+            back, partial, ["lang"],
+            [("n_docs_sum", "sum"), ("sum_chars_sum", "sum")])
         out = m.rename_columns(["lang", "n_docs", "sum_chars"]
                                ).sort_by("lang")
         return out.replace_schema_metadata(
@@ -12265,11 +11701,6 @@ def incremental_agg_maintenance(sf_dir: str) -> pa.Table:
     import tempfile
 
     path = f"{sf_dir}/events.parquet"
-    empty = pa.table({"event_type": pa.array([], pa.string()),
-                      "n_events": pa.array([], pa.int64()),
-                      "sum_value_c": pa.array([], pa.int64())})
-    if _footer_rows(path) == 0:
-        return empty
     ds = _read_sized(path, columns=["event_id", "event_type", "value"])
 
     def view_partial(b: pa.Table, want_base: bool) -> pa.Table:
@@ -12294,24 +11725,18 @@ def incremental_agg_maintenance(sf_dir: str) -> pa.Table:
 
     root = tempfile.mkdtemp(prefix="ivm_")
     try:
-        base = _merge_partials(
-            ds.map_batches(view_partial, fn_kwargs={"want_base": True},
-                           batch_format="pyarrow", zero_copy_batch=True),
-            ["event_type"], [("n_events", "sum"), ("sum_value_c", "sum")],
-            fallback_schema={"event_type": pa.string(),
-                             "n_events": pa.int64(),
-                             "sum_value_c": pa.int64()})
+        base = _rollup(
+            ds, view_partial, ["event_type"],
+            [("n_events", "sum"), ("sum_value_c", "sum")],
+            fn_kwargs={"want_base": True})
         import pyarrow.parquet as pq
 
         pq.write_table(base, f"{root}/view.parquet")  # the checkpoint
         stored = pq.read_table(f"{root}/view.parquet")
-        delta = _merge_partials(
-            ds.map_batches(view_partial, fn_kwargs={"want_base": False},
-                           batch_format="pyarrow", zero_copy_batch=True),
-            ["event_type"], [("n_events", "sum"), ("sum_value_c", "sum")],
-            fallback_schema={"event_type": pa.string(),
-                             "n_events": pa.int64(),
-                             "sum_value_c": pa.int64()})
+        delta = _rollup(
+            ds, view_partial, ["event_type"],
+            [("n_events", "sum"), ("sum_value_c", "sum")],
+            fn_kwargs={"want_base": False})
         merged = pa.concat_tables([stored, delta]).group_by(
             ["event_type"]).aggregate(
             [("n_events", "sum"), ("sum_value_c", "sum")]).rename_columns(
@@ -12334,8 +11759,6 @@ def new_users_daily(sf_dir: str) -> pa.Table:
     empty = pa.table({"day": pa.array([], pa.int64()),
                       "n_new_users": pa.array([], pa.int64()),
                       "cum_users": pa.array([], pa.int64())})
-    if _footer_rows(path) == 0:
-        return empty
     ds = _read_sized(path, columns=["user_id", "ts"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -12344,11 +11767,7 @@ def new_users_daily(sf_dir: str) -> pa.Table:
         return pa.table({"user_id": b.column("user_id"), "day": day}
                         ).group_by(["user_id"]).aggregate([("day", "min")])
 
-    m = _merge_partials(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        ["user_id"], [("day_min", "min")],
-        fallback_schema={"user_id": pa.int64(), "day_min": pa.int64()})
+    m = _rollup(ds, partial, ["user_id"], [("day_min", "min")])
     if m.num_rows == 0:
         return empty
     first = m.column("day_min").to_numpy().astype(np.int64)
@@ -12406,12 +11825,9 @@ def compaction_certificate(
             }).group_by(["lang"]).aggregate(
                 [("n_docs", "sum"), ("sum_chars", "sum")])
 
-        m = _merge_partials(
-            back.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True),
-            ["lang"], [("n_docs_sum", "sum"), ("sum_chars_sum", "sum")],
-            fallback_schema={"lang": pa.string(), "n_docs_sum": pa.int64(),
-                             "sum_chars_sum": pa.int64()})
+        m = _rollup(
+            back, partial, ["lang"],
+            [("n_docs_sum", "sum"), ("sum_chars_sum", "sum")])
         out = m.rename_columns(["lang", "n_docs", "sum_chars"]
                                ).sort_by("lang")
         return out.replace_schema_metadata(
@@ -12438,8 +11854,6 @@ def schema_evolution_certificate(sf_dir: str) -> pa.Table:
                       "n_docs": pa.array([], pa.int64()),
                       "n_versioned": pa.array([], pa.int64()),
                       "sum_chars": pa.array([], pa.int64())})
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return empty
     ds = _docs_sized(sf_dir, columns=["doc_id", "lang", "n_chars"])
     root = tempfile.mkdtemp(prefix="schema_evo_")
     try:
@@ -12492,13 +11906,10 @@ def schema_evolution_certificate(sf_dir: str) -> pa.Table:
                 [("n_docs", "sum"), ("n_versioned", "sum"),
                  ("sum_chars", "sum")])
 
-        m = _merge_partials(
-            back.map_batches(partial, batch_format="pyarrow"),
-            ["lang"], [("n_docs_sum", "sum"), ("n_versioned_sum", "sum"),
-                       ("sum_chars_sum", "sum")],
-            fallback_schema={"lang": pa.string(), "n_docs_sum": pa.int64(),
-                             "n_versioned_sum": pa.int64(),
-                             "sum_chars_sum": pa.int64()})
+        m = _rollup(
+            back, partial, ["lang"],
+            [("n_docs_sum", "sum"), ("n_versioned_sum", "sum"),
+             ("sum_chars_sum", "sum")])
         return m.rename_columns(
             ["lang", "n_docs", "n_versioned", "sum_chars"]).sort_by("lang")
     finally:
@@ -12521,12 +11932,6 @@ def time_travel_certificate(sf_dir: str) -> pa.Table:
     import shutil
     import tempfile
 
-    empty = pa.table({"lang": pa.array([], pa.string()),
-                      "n_docs_v1": pa.array([], pa.int64()),
-                      "n_docs_v2": pa.array([], pa.int64()),
-                      "sum_chars_v2": pa.array([], pa.int64())})
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return empty
     ds = _docs_sized(sf_dir, columns=["doc_id", "lang", "n_chars"])
     root = tempfile.mkdtemp(prefix="time_travel_")
     try:
@@ -12572,12 +11977,8 @@ def time_travel_certificate(sf_dir: str) -> pa.Table:
                     "s": pc.cast(b.column("n_chars"), pa.int64()),
                 }).group_by(["lang"]).aggregate([("n", "sum"), ("s", "sum")])
 
-            return _merge_partials(
-                back.map_batches(partial, batch_format="pyarrow",
-                                 zero_copy_batch=True),
-                ["lang"], [("n_sum", "sum"), ("s_sum", "sum")],
-                fallback_schema={"lang": pa.string(), "n_sum": pa.int64(),
-                                 "s_sum": pa.int64()}
+            return _rollup(
+                back, partial, ["lang"], [("n_sum", "sum"), ("s_sum", "sum")]
             ).rename_columns(["lang", "n", "s"])
 
         v1 = counts(manifest_v1, False)
@@ -12612,12 +12013,6 @@ def source_length_moments(sf_dir: str) -> pa.Table:
     Scale shape: per-block (n, Σx, Σx²) partials per source fold in one
     bounded driver merge — one scan, no shuffle."""
     path = f"{sf_dir}/documents.parquet"
-    empty = pa.table({"source": pa.array([], pa.string()),
-                      "n_docs": pa.array([], pa.int64()),
-                      "mean_ppm": pa.array([], pa.int64()),
-                      "var_ppm": pa.array([], pa.int64())})
-    if _footer_rows(path) == 0:
-        return empty
     ds = _read_sized(path, columns=["source", "n_chars"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -12630,13 +12025,10 @@ def source_length_moments(sf_dir: str) -> pa.Table:
         }).group_by(["source"]).aggregate(
             [("n", "sum"), ("sx", "sum"), ("sxx", "sum")])
 
-    m = _merge_partials(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        ["source"], [("n_sum", "sum"), ("sx_sum", "sum"),
-                     ("sxx_sum", "sum")],
-        fallback_schema={"source": pa.string(), "n_sum": pa.int64(),
-                         "sx_sum": pa.int64(), "sxx_sum": pa.int64()})
+    m = _rollup(
+        ds, partial, ["source"],
+        [("n_sum", "sum"), ("sx_sum", "sum"),
+         ("sxx_sum", "sum")])
     src = m.column("source").to_pylist()
     n = m.column("n_sum").to_pylist()
     sx = m.column("sx_sum").to_pylist()
@@ -12673,8 +12065,6 @@ def streaming_split_certificate(sf_dir: str, n_shards: int = 4) -> pa.Table:
     empty = pa.table({"lang": pa.array([], pa.string()),
                       "n_docs": pa.array([], pa.int64()),
                       "sum_chars": pa.array([], pa.int64())})
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return empty
     ds = _docs_sized(sf_dir, columns=["lang", "n_chars"])
     splits = ds.streaming_split(n_shards, equal=False)
     results: list = [None] * n_shards
@@ -12717,12 +12107,6 @@ def langid_confusion(sf_dir: str) -> pa.Table:
     already carries both columns, folding straight into bounded
     (true × pred) count partials — one scan, no shuffle, and the doc_id
     never leaves the block."""
-    path = f"{sf_dir}/documents.parquet"
-    empty = pa.table({"lang_true": pa.array([], pa.string()),
-                      "lang_pred": pa.array([], pa.string()),
-                      "n_docs": pa.array([], pa.int64())})
-    if _footer_rows(path) == 0:
-        return empty
     ds = _docs_sized(sf_dir, columns=["doc_id", "text", "lang"],
                      rows_per_block=1024)
 
@@ -12735,13 +12119,8 @@ def langid_confusion(sf_dir: str) -> pa.Table:
         }).group_by(["lang_true", "lang_pred"]).aggregate(
             [("n_docs", "sum")])
 
-    m = _merge_partials(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        ["lang_true", "lang_pred"], [("n_docs_sum", "sum")],
-        fallback_schema={"lang_true": pa.string(),
-                         "lang_pred": pa.string(),
-                         "n_docs_sum": pa.int64()})
+    m = _rollup(
+        ds, partial, ["lang_true", "lang_pred"], [("n_docs_sum", "sum")])
     return m.rename_columns(["lang_true", "lang_pred", "n_docs"]).sort_by(
         [("lang_true", "ascending"), ("lang_pred", "ascending")])
 
@@ -12768,8 +12147,6 @@ def federated_union_certificate(sf_dir: str) -> pa.Table:
                       "n_docs": pa.array([], pa.int64()),
                       "sum_chars": pa.array([], pa.int64()),
                       "text_digest_sum": pa.array([], pa.int64())})
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return empty
     cols = ["doc_id", "text", "lang", "source", "n_chars"]
     ds = _docs_sized(sf_dir, columns=cols)
     root = tempfile.mkdtemp(prefix="federated_")
@@ -12834,13 +12211,10 @@ def federated_union_certificate(sf_dir: str) -> pa.Table:
                 [("n_docs", "sum"), ("sum_chars", "sum"),
                  ("text_digest_sum", "sum")])
 
-        m = _merge_partials(
-            fed.map_batches(partial, batch_format="pyarrow"),
-            ["source"], [("n_docs_sum", "sum"), ("sum_chars_sum", "sum"),
-                         ("text_digest_sum_sum", "sum")],
-            fallback_schema={"source": pa.string(), "n_docs_sum": pa.int64(),
-                             "sum_chars_sum": pa.int64(),
-                             "text_digest_sum_sum": pa.int64()})
+        m = _rollup(
+            fed, partial, ["source"],
+            [("n_docs_sum", "sum"), ("sum_chars_sum", "sum"),
+             ("text_digest_sum_sum", "sum")])
         return m.rename_columns(
             ["source", "n_docs", "sum_chars", "text_digest_sum"]
         ).sort_by("source")
@@ -12872,8 +12246,7 @@ def minhash_cluster_sizes(sf_dir: str, threshold: float = 0.5) -> pa.Table:
                          "n_clusters": pa.array([n_docs], pa.int64())})
     labels = _component_labels_cached(sf_dir, threshold)
     sizes = labels.groupby("label").count()
-    st = _collect(sizes, fallback_schema={"label": pa.int64(),
-                                          "count()": pa.int64()})
+    st = _collect(sizes)
     cnt = st.column(st.schema.names[1]).to_numpy().astype(np.int64)
     labeled = int(cnt.sum())
     size_vals, size_counts = np.unique(cnt, return_counts=True)
@@ -12960,9 +12333,7 @@ def event_trigrams(sf_dir: str, top_k: int = 25) -> pa.Table:
     partials = ds.groupby("user_id").map_groups(
         per_user, batch_format="pyarrow")
     merged = partials.groupby(["t1", "t2", "t3"]).aggregate(Sum("n"))
-    out = _collect(merged, fallback_schema={
-        "t1": pa.string(), "t2": pa.string(), "t3": pa.string(),
-        "sum(n)": pa.int64()}).rename_columns(["t1", "t2", "t3", "n"])
+    out = _collect(merged).rename_columns(["t1", "t2", "t3", "n"])
     return top(out)
 
 
@@ -12980,13 +12351,6 @@ def corpus_diff(sf_dir: str) -> pa.Table:
     repartition by doc_id with both sides tagged, compared vectorized
     inside each co-located block, folding straight into bounded
     per-source partials — text never moves, nothing driver-side."""
-    empty = pa.table({"source": pa.array([], pa.string()),
-                      "n_added": pa.array([], pa.int64()),
-                      "n_removed": pa.array([], pa.int64()),
-                      "n_changed": pa.array([], pa.int64()),
-                      "n_unchanged": pa.array([], pa.int64())})
-    if _footer_rows(f"{sf_dir}/documents.parquet") == 0:
-        return empty
     with _pinned_hash_shuffle():
         ds = _docs_sized(sf_dir, columns=["doc_id", "text", "source"])
 
@@ -13067,12 +12431,7 @@ def corpus_diff(sf_dir: str) -> pa.Table:
                 return kind_empty
             return pa.concat_tables(parts)
 
-        m = _merge_partials(
-            both.map_batches(diff_block, batch_format="pyarrow",
-                             zero_copy_batch=True),
-            ["source", "kind"], [("n", "sum")],
-            fallback_schema={"source": pa.string(), "kind": pa.string(),
-                             "n": pa.int64()})
+        m = _rollup(both, diff_block, ["source", "kind"], [("n", "sum")])
     srcs = sorted(set(m.column("source").to_pylist()))
     kinds = dict()
     for s, k, n in zip(m.column("source").to_pylist(),
@@ -13108,8 +12467,6 @@ def embedding_gram(sf_dir: str) -> pa.Table:
     empty = pa.table({"i": pa.array([], pa.int64()),
                       "j": pa.array([], pa.int64()),
                       "g": pa.array([], pa.int64())})
-    if _footer_rows(path) == 0:
-        return empty
     ds = ray.data.read_parquet(path, columns=["embedding"])
     max_abs = S.corpus_max_abs(ds)
     sc = 127.0 / max_abs if max_abs > 0 else 0.0
@@ -13127,12 +12484,7 @@ def embedding_gram(sf_dir: str) -> pa.Table:
                          "j": pa.array(ju + 1, pa.int64()),
                          "g": pa.array(gram[iu, ju], pa.int64())})
 
-    m = _merge_partials(
-        ds.map_batches(gram_partial, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        ["i", "j"], [("g", "sum")],
-        fallback_schema={"i": pa.int64(), "j": pa.int64(),
-                         "g": pa.int64()})
+    m = _rollup(ds, gram_partial, ["i", "j"], [("g", "sum")])
     return m.sort_by([("i", "ascending"), ("j", "ascending")])
 
 
@@ -13173,11 +12525,7 @@ def boilerplate_lines(
         return pa.table({"source": pa.array(u, pa.string()),
                          "n": pa.array(c, pa.int64())})
 
-    totals = _merge_partials(
-        src_ds.map_batches(count_partial, batch_format="pyarrow",
-                           zero_copy_batch=True),
-        ["source"], [("n", "sum")],
-        fallback_schema={"source": pa.string(), "n": pa.int64()})
+    totals = _rollup(src_ds, count_partial, ["source"], [("n", "sum")])
     n_docs_map = dict(zip(totals.column("source").to_pylist(),
                           totals.column("n").to_pylist()))
     thr_map = {s: max(2, math.ceil(frac * n)) for s, n in n_docs_map.items()}
@@ -13226,12 +12574,9 @@ def boilerplate_lines(
                          "n_template_chunks": pa.array(tmpl),
                          "max_df": pa.array(mx)})
 
-    merged = _merge_partials(
-        df.map_batches(rollup, batch_format="pyarrow", zero_copy_batch=True),
-        ["source"], [("n_template_chunks", "sum"), ("max_df", "max")],
-        fallback_schema={"source": pa.string(),
-                         "n_template_chunks": pa.int64(),
-                         "max_df": pa.int64()})
+    merged = _rollup(
+        df, rollup, ["source"],
+        [("n_template_chunks", "sum"), ("max_df", "max")])
     agg = {s: (t, m) for s, t, m in zip(
         merged.column("source").to_pylist(),
         merged.column("n_template_chunks").to_pylist(),
@@ -13280,7 +12625,7 @@ def count_of_counts(sf_dir: str) -> pa.Table:
 
     counts = (
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("token").aggregate(Sum("n")).rename_columns(["token", "n"])
+        .groupby("token").aggregate(Sum("n")).rename_columns({"sum(n)": "n"})
     )
 
     def hist_partial(batch: pa.Table) -> pa.Table:
@@ -13288,11 +12633,7 @@ def count_of_counts(sf_dir: str) -> pa.Table:
         return pa.table({"freq": pa.array(u, pa.int64()),
                          "n_types": pa.array(c, pa.int64())})
 
-    hist = _merge_partials(
-        counts.map_batches(hist_partial, batch_format="pyarrow",
-                           zero_copy_batch=True),
-        ["freq"], [("n_types", "sum")],
-        fallback_schema={"freq": pa.int64(), "n_types": pa.int64()})
+    hist = _rollup(counts, hist_partial, ["freq"], [("n_types", "sum")])
     hist = hist.sort_by([("freq", "ascending")])
     freq = hist.column("freq").to_numpy()
     n_types = hist.column("n_types").to_numpy()
@@ -13350,9 +12691,8 @@ def gram_novelty(sf_dir: str, n: int = 8) -> pa.Table:
              "gram_h": pa.array(out_h, pa.int64())}
         )
 
-    gram_rows = ds.map_batches(
-        grams, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()  # consumed twice: first-occurrence + flag pass
+    # consumed twice: first-occurrence + flag pass
+    gram_rows = _materialize(ds, grams)
 
     def first_partial(batch: pa.Table) -> pa.Table:
         t = pa.table({"gram_h": batch.column("gram_h"),
@@ -13364,11 +12704,8 @@ def gram_novelty(sf_dir: str, n: int = 8) -> pa.Table:
     small = R.route("gram_novelty.grams", n_gram_rows) == "driver"
     first_np: tuple[np.ndarray, np.ndarray] | None = None
     if small:
-        ftbl = _merge_partials(
-            gram_rows.map_batches(first_partial, batch_format="pyarrow",
-                                  zero_copy_batch=True),
-            ["gram_h"], [("first_doc", "min")],
-            fallback_schema={"gram_h": pa.int64(), "first_doc": pa.int64()})
+        ftbl = _rollup(
+            gram_rows, first_partial, ["gram_h"], [("first_doc", "min")])
         keys = ftbl.column("gram_h").to_numpy()
         order = np.argsort(keys)
         first_np = (keys[order], ftbl.column("first_doc").to_numpy()[order])
@@ -13432,17 +12769,14 @@ def gram_novelty(sf_dir: str, n: int = 8) -> pa.Table:
     partials = flagged.map_batches(
         doc_partial, batch_format="pyarrow", zero_copy_batch=True)
     if small:
-        per_doc = _merge_partials(
-            partials, ["doc_id"], [("n_grams", "sum"), ("n_novel", "sum")],
-            fallback_schema={"doc_id": pa.int64(), "n_grams": pa.int64(),
-                             "n_novel": pa.int64()})
+        per_doc = _rollup(
+            flagged, doc_partial, ["doc_id"],
+            [("n_grams", "sum"), ("n_novel", "sum")])
     else:
         per_doc = _collect(
             partials.groupby("doc_id")
             .aggregate(Sum("n_grams"), Sum("n_novel"))
-            .rename_columns(["doc_id", "n_grams", "n_novel"]),
-            fallback_schema={"doc_id": pa.int64(), "n_grams": pa.int64(),
-                             "n_novel": pa.int64()})
+            .rename_columns(["doc_id", "n_grams", "n_novel"]))
     per_doc = per_doc.sort_by([("doc_id", "ascending")])
     ng = per_doc.column("n_grams").to_numpy().astype(np.float64)
     nv = per_doc.column("n_novel").to_numpy().astype(np.float64)
@@ -13494,7 +12828,7 @@ def key_skew_audit(sf_dir: str) -> pa.Table:
             ev.select_columns([key_col])
             .map_batches(count_partial, batch_format="pyarrow",
                          zero_copy_batch=True)
-            .groupby("k").aggregate(Sum("n")).rename_columns(["k", "n"])
+            .groupby("k").aggregate(Sum("n")).rename_columns({"sum(n)": "n"})
         )
 
         def hist_partial(batch: pa.Table) -> pa.Table:
@@ -13502,11 +12836,7 @@ def key_skew_audit(sf_dir: str) -> pa.Table:
             return pa.table({"c": pa.array(u, pa.int64()),
                              "n_keys": pa.array(c, pa.int64())})
 
-        hist = _merge_partials(
-            counts.map_batches(hist_partial, batch_format="pyarrow",
-                               zero_copy_batch=True),
-            ["c"], [("n_keys", "sum")],
-            fallback_schema={"c": pa.int64(), "n_keys": pa.int64()})
+        hist = _rollup(counts, hist_partial, ["c"], [("n_keys", "sum")])
         hist = hist.sort_by([("c", "ascending")])
         cs = hist.column("c").to_pylist()
         ks = hist.column("n_keys").to_pylist()
@@ -13570,11 +12900,7 @@ def weighted_sample(sf_dir: str, k: int = 50) -> pa.Table:
         keys = [("pr", "ascending"), ("doc_id", "ascending")]
         return t.take(pc.sort_indices(t, sort_keys=keys)[:k])
 
-    tops = _collect(
-        ds.map_batches(partial_topk, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        fallback_schema={"doc_id": pa.int64(), "n_chars": pa.int64(),
-                         "pr": pa.float64()})
+    tops = _gather(ds, partial_topk)
     keys = [("pr", "ascending"), ("doc_id", "ascending")]
     win = tops.take(pc.sort_indices(tops, sort_keys=keys)[:k])
     return pa.table({"doc_id": win.column("doc_id"),
@@ -13605,11 +12931,9 @@ def event_type_affinity(sf_dir: str) -> pa.Table:
         return pa.table({"event_type": pa.array(u, pa.string()),
                          "n": pa.array(np.ones(len(u), np.int64))})
 
-    vocab = _merge_partials(
-        ev.select_columns(["event_type"]).map_batches(
-            type_partial, batch_format="pyarrow", zero_copy_batch=True),
-        ["event_type"], [("n", "sum")],
-        fallback_schema={"event_type": pa.string(), "n": pa.int64()})
+    vocab = _rollup(
+        ev.select_columns(["event_type"]), type_partial, ["event_type"],
+        [("n", "sum")])
     types = sorted(vocab.column("event_type").to_pylist())
     if len(types) > 63:
         raise ValueError(
@@ -13632,10 +12956,10 @@ def event_type_affinity(sf_dir: str) -> pa.Table:
 
     def or_fold(group: pa.Table) -> pa.Table:
         m = np.bitwise_or.reduce(group.column("mask").to_numpy())
+        one = min(group.num_rows, 1)  # the group's user; none when empty
         return pa.table({
-            "user_id": pa.array([group.column("user_id")[0].as_py()],
-                                pa.int64()),
-            "mask": pa.array([int(m)], pa.int64())})
+            "user_id": group.column("user_id").slice(0, one),
+            "mask": pa.array([int(m)] * one, pa.int64())})
 
     user_masks = (
         ev.map_batches(mask_partial, batch_format="pyarrow",
@@ -13648,11 +12972,7 @@ def event_type_affinity(sf_dir: str) -> pa.Table:
         return pa.table({"mask": pa.array(u, pa.int64()),
                          "n_users": pa.array(c, pa.int64())})
 
-    hist = _merge_partials(
-        user_masks.map_batches(hist_partial, batch_format="pyarrow",
-                               zero_copy_batch=True),
-        ["mask"], [("n_users", "sum")],
-        fallback_schema={"mask": pa.int64(), "n_users": pa.int64()})
+    hist = _rollup(user_masks, hist_partial, ["mask"], [("n_users", "sum")])
     masks = hist.column("mask").to_pylist()
     cnts = hist.column("n_users").to_pylist()
     per_type = {t: 0 for t in types}
@@ -13719,7 +13039,7 @@ def vocab_growth(sf_dir: str, bucket_docs: int = 10) -> pa.Table:
     firsts = (
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("bigram").aggregate(Min("bucket"))
-        .rename_columns(["bigram", "bucket"])
+        .rename_columns({"min(bucket)": "bucket"})
     )
 
     def hist_partial(batch: pa.Table) -> pa.Table:
@@ -13727,11 +13047,7 @@ def vocab_growth(sf_dir: str, bucket_docs: int = 10) -> pa.Table:
         return pa.table({"bucket": pa.array(u, pa.int64()),
                          "new_types": pa.array(c, pa.int64())})
 
-    hist = _merge_partials(
-        firsts.map_batches(hist_partial, batch_format="pyarrow",
-                           zero_copy_batch=True),
-        ["bucket"], [("new_types", "sum")],
-        fallback_schema={"bucket": pa.int64(), "new_types": pa.int64()})
+    hist = _rollup(firsts, hist_partial, ["bucket"], [("new_types", "sum")])
     hist = hist.sort_by([("bucket", "ascending")])
     nt = hist.column("new_types").to_numpy()
     return pa.table({
@@ -13771,7 +13087,7 @@ def top_bigrams_per_lang(sf_dir: str, k: int = 10) -> pa.Table:
     counts = (
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby(["lang", "bigram"]).aggregate(Sum("n"))
-        .rename_columns(["lang", "bigram", "n"])
+        .rename_columns({"sum(n)": "n"})
     )
     keys = [("lang", "ascending"), ("n", "descending"), ("bigram", "ascending")]
 
@@ -13785,11 +13101,7 @@ def top_bigrams_per_lang(sf_dir: str, k: int = 10) -> pa.Table:
             starts, np.diff(np.concatenate((starts, [len(langs)]))))
         return t.filter(pa.array(rank < k))
 
-    tops = _collect(
-        counts.map_batches(block_topk, batch_format="pyarrow",
-                           zero_copy_batch=True),
-        fallback_schema={"lang": pa.string(), "bigram": pa.string(),
-                         "n": pa.int64()})
+    tops = _gather(counts, block_topk)
     t = tops.take(pc.sort_indices(tops, sort_keys=keys))
     langs = np.asarray(t.column("lang").to_pylist(), dtype=object)
     if len(langs) == 0:
@@ -13847,10 +13159,9 @@ def ship_latency_histogram(sf_dir: str) -> pa.Table:
             [("n_lines", "sum")]
         ).rename_columns(["o_orderpriority", "week", "n_lines"])
 
-    def finish(partial) -> pa.Table:
-        return _merge_partials(
-            partial, ["o_orderpriority", "week"], [("n_lines", "sum")],
-            fallback_schema=_SHIP_LATENCY_SCHEMA
+    def finish(src, partial) -> pa.Table:
+        return _rollup(
+            src, partial, ["o_orderpriority", "week"], [("n_lines", "sum")]
         ).sort_by([("o_orderpriority", "ascending"), ("week", "ascending")])
 
     li = _read_sized(f"{sf_dir}/lineitem.parquet",
@@ -13864,9 +13175,12 @@ def ship_latency_histogram(sf_dir: str) -> pa.Table:
     n_ords = _footer_rows(f"{sf_dir}/orders.parquet")
 
     if R.route("ship_latency_histogram", n_ords) == "driver":
-        ot = _collect(ords, fallback_schema={
-            "o_orderkey": pa.int64(), "od_us": pa.int64(),
-            "o_orderpriority": pa.string()})
+        ot = _gather(
+            _read_sized(f"{sf_dir}/orders.parquet",
+                        columns=["o_orderkey", "o_orderdate",
+                                 "o_orderpriority"], rows_per_block=8192
+                        ),
+            order_slim)
         if ot.num_rows == 0:
             return empty
         ot = ot.sort_by("o_orderkey")
@@ -13890,8 +13204,7 @@ def ship_latency_histogram(sf_dir: str) -> pa.Table:
             return rollup(pa.array([up[i] for i in pids[oi]], pa.string()),
                           week)
 
-        return finish(li.map_batches(li_partial, batch_format="pyarrow",
-                                     zero_copy_batch=True))
+        return finish(li, li_partial)
 
     ofull = ords.materialize()
     if ofull.count() == 0:
@@ -13906,8 +13219,7 @@ def ship_latency_histogram(sf_dir: str) -> pa.Table:
         week = (sd - b.column("od_us").to_numpy()) // wk_us
         return rollup(b.column("o_orderpriority"), week)
 
-    return finish(joined.map_batches(j_partial, batch_format="pyarrow",
-                                     zero_copy_batch=True))
+    return finish(joined, j_partial)
 
 
 def events_mad_outliers(sf_dir: str) -> pa.Table:
@@ -13947,12 +13259,7 @@ def events_mad_outliers(sf_dir: str) -> pa.Table:
             "c": pa.array(np.concatenate(out_c), pa.int64()),
             "n": pa.array(np.concatenate(out_n), pa.int64())})
 
-    hist = _merge_partials(
-        ev.map_batches(hist_partial, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        ["event_type", "c"], [("n", "sum")],
-        fallback_schema={"event_type": pa.string(), "c": pa.int64(),
-                         "n": pa.int64()})
+    hist = _rollup(ev, hist_partial, ["event_type", "c"], [("n", "sum")])
     hist = hist.sort_by([("event_type", "ascending"), ("c", "ascending")])
     tys = np.asarray(hist.column("event_type").to_pylist(), dtype=object)
     cs = hist.column("c").to_numpy()
@@ -14024,10 +13331,9 @@ def host_link_reciprocity(sf_dir: str) -> pa.Table:
 
     n_docs = _footer_rows(f"{sf_dir}/documents.parquet")
     if R.route("host_link_reciprocity", n_docs) == "driver":
-        et = _merge_partials(
-            partials, ["src_host", "dst_host"], [("n", "sum")],
-            fallback_schema={"src_host": pa.string(),
-                             "dst_host": pa.string(), "n": pa.int64()})
+        et = _rollup(
+            edges_raw, distinct_partial, ["src_host", "dst_host"],
+            [("n", "sum")])
         src = np.asarray(et.column("src_host").to_pylist(), dtype=object)
         dst = np.asarray(et.column("dst_host").to_pylist(), dtype=object)
         # sorted composite keys: reverse membership via searchsorted
@@ -14067,11 +13373,8 @@ def host_link_reciprocity(sf_dir: str) -> pa.Table:
                          "n_out": pa.array(np.ones(len(has), np.int64)),
                          "n_recip": pa.array(has.astype(np.int64))})
 
-    per_src = _merge_partials(
-        joined.map_batches(mark, batch_format="pyarrow", zero_copy_batch=True),
-        ["host"], [("n_out", "sum"), ("n_recip", "sum")],
-        fallback_schema={"host": pa.string(), "n_out": pa.int64(),
-                         "n_recip": pa.int64()})
+    per_src = _rollup(
+        joined, mark, ["host"], [("n_out", "sum"), ("n_recip", "sum")])
     per_src = per_src.sort_by([("host", "ascending")])
     no = per_src.column("n_out").to_numpy()
     nr = per_src.column("n_recip").to_numpy()
@@ -14134,14 +13437,8 @@ def order_backlog_monthly(sf_dir: str) -> pa.Table:
 
     n_ords = _footer_rows(f"{sf_dir}/orders.parquet")
     if R.route("order_backlog_monthly", n_ords) == "driver":
-        comp = _merge_partials(
-            li.map_batches(max_partial, batch_format="pyarrow",
-                           zero_copy_batch=True),
-            ["o_orderkey"], [("done_us", "max")],
-            fallback_schema={"o_orderkey": pa.int64(),
-                             "done_us": pa.int64()})
-        ot = _collect(ords, fallback_schema={
-            "o_orderkey": pa.int64(), "o_orderdate": pa.timestamp("us")})
+        comp = _rollup(li, max_partial, ["o_orderkey"], [("done_us", "max")])
+        ot = _collect(ords)
         if comp.num_rows == 0 or ot.num_rows == 0:
             return pa.table({"year": pa.array([], pa.int64()),
                              "month": pa.array([], pa.int64()),
@@ -14179,11 +13476,7 @@ def order_backlog_monthly(sf_dir: str) -> pa.Table:
         return pa.table({"m": pa.array(u, pa.int64()),
                          "d": pa.array(d, pa.int64())})
 
-    g = _merge_partials(
-        joined.map_batches(delta_partial, batch_format="pyarrow",
-                           zero_copy_batch=True),
-        ["m"], [("d", "sum")],
-        fallback_schema={"m": pa.int64(), "d": pa.int64()})
+    g = _rollup(joined, delta_partial, ["m"], [("d", "sum")])
     g = g.sort_by([("m", "ascending")])
     # delta months with net-zero change still appear in the oracle's
     # grouped table, so keep them (they carry the running value)
@@ -14235,9 +13528,7 @@ def span_order_certificate(sf_dir: str) -> pa.Table:
             "kind_seq": pa.array(seqs, pa.string()),
             "media_index": pa.array(midx, pa.int64())})
 
-    out = ds.map_batches(cert, batch_format="pyarrow", zero_copy_batch=True)
-    return pa.concat_tables(
-        list(out.iter_batches(batch_format="pyarrow"))).sort_by("doc_id")
+    return _gather(ds, cert).sort_by("doc_id")
 
 
 def dedup_cluster_purity(sf_dir: str, threshold: float = 0.5) -> pa.Table:
@@ -14306,13 +13597,12 @@ def dedup_cluster_purity(sf_dir: str, threshold: float = 0.5) -> pa.Table:
 
     per_ls = per_ls.materialize()
     n_ls = D._metadata_row_count(per_ls)
-    if n_ls is not None and n_ls <= 5_000_000:
+    if R.route("dedup_cluster_purity", n_ls) == "driver":
         # driver rollup: (label, source, n) rows are bounded by labeled
         # docs; one lexsort + three reduceats replace cluster-count
         # map_groups callbacks (Ray's per-group fixed cost dominates at
-        # report scale — same rationale as _merge_partials)
-        t = _collect(per_ls, fallback_schema={
-            "label": pa.int64(), "source": pa.string(), "n": pa.int64()})
+        # report scale — same rationale as _rollup)
+        t = _collect(per_ls)
         return finish(t.column("label").to_numpy(),
                       t.column("n").to_numpy())
 
@@ -14322,10 +13612,7 @@ def dedup_cluster_purity(sf_dir: str, threshold: float = 0.5) -> pa.Table:
 
     out = per_ls.groupby("label").map_groups(per_label,
                                              batch_format="pyarrow")
-    tbl = _collect(out, fallback_schema={
-        "label": pa.int64(), "cluster_size": pa.int64(),
-        "n_sources": pa.int64(), "majority_n": pa.int64(),
-        "purity_ppm": pa.int64()})
+    tbl = _collect(out)
     return tbl.sort_by([("label", "ascending")])
 
 
@@ -14358,10 +13645,7 @@ def source_drift_audit(sf_dir: str) -> pa.Table:
             return pa.table({"lo": pa.array([mm["min"].as_py()], pa.int64()),
                              "hi": pa.array([mm["max"].as_py()], pa.int64())})
 
-        t = _collect(
-            _docs_sized(sf_dir, columns=["doc_id"]).map_batches(
-                min_max, batch_format="pyarrow", zero_copy_batch=True),
-            fallback_schema={"lo": pa.int64(), "hi": pa.int64()})
+        t = _gather(_docs_sized(sf_dir, columns=["doc_id"]), min_max)
         lo = pc.min(t.column("lo")).as_py() or 0
         hi = pc.max(t.column("hi")).as_py() or 0
     mid = (int(lo) + int(hi)) // 2
@@ -14397,11 +13681,8 @@ def source_drift_audit(sf_dir: str) -> pa.Table:
             "n": pa.array(np.concatenate(rows_n), pa.int64()),
             "tok": pa.array(np.concatenate(rows_t), pa.int64())})
 
-    merged = _merge_partials(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        ["source", "half"], [("n", "sum"), ("tok", "sum")],
-        fallback_schema={"source": pa.string(), "half": pa.string(),
-                         "n": pa.int64(), "tok": pa.int64()})
+    merged = _rollup(
+        ds, partial, ["source", "half"], [("n", "sum"), ("tok", "sum")])
     agg: dict = {}
     for s, h, n, t in zip(merged.column("source").to_pylist(),
                           merged.column("half").to_pylist(),
@@ -14458,10 +13739,9 @@ def host_bfs_depths(
         edge_partial, batch_format="pyarrow", zero_copy_batch=True)
 
     if R.route("host_bfs_depths", n_docs) == "driver":
-        et = _merge_partials(
-            partials, ["src_host", "dst_host"], [("n", "sum")],
-            fallback_schema={"src_host": pa.string(),
-                             "dst_host": pa.string(), "n": pa.int64()})
+        et = _rollup(
+            _host_edges(sf_dir), edge_partial, ["src_host", "dst_host"],
+            [("n", "sum")])
         src = np.asarray(et.column("src_host").to_pylist(), dtype=object)
         dst = np.asarray(et.column("dst_host").to_pylist(), dtype=object)
         # the seed is a host at depth 0 even when no edge touches it, as
@@ -14485,12 +13765,10 @@ def host_bfs_depths(
 
     # groupby outputs carry zero-column empty blocks that a join cannot
     # key on (see D._ensure_block_schema): scrub both join sides
-    edges = D._ensure_block_schema(
+    edges = _scrubbed(
         partials.groupby(["src_host", "dst_host"])
         .aggregate(Min("n"))
-        .rename_columns(["src_host", "dst_host", "n"])
-        .materialize(),
-        {"src_host": pa.string(), "dst_host": pa.string(), "n": pa.int64()})
+        .rename_columns(["src_host", "dst_host", "n"]))
     dist_ds = ray.data.from_arrow(pa.table(
         {"host": pa.array([seed_host], pa.string()),
          "depth": pa.array([0], pa.int64())}))
@@ -14504,14 +13782,11 @@ def host_bfs_depths(
                 {"host": b.column("dst_host"),
                  "depth": pc.add(b.column("depth"), 1)}),
             batch_format="pyarrow", zero_copy_batch=True)
-        dist_ds = D._ensure_block_schema(
+        dist_ds = _scrubbed(
             dist_ds.union(frontier)
             .groupby("host").aggregate(Min("depth"))
-            .rename_columns(["host", "depth"])
-            .materialize(),
-            {"host": pa.string(), "depth": pa.int64()})
-    out = _collect(dist_ds, fallback_schema={"host": pa.string(),
-                                             "depth": pa.int64()})
+            .rename_columns(["host", "depth"]))
+    out = _collect(dist_ds)
     return out.sort_by([("host", "ascending")])
 
 
@@ -14536,11 +13811,8 @@ def events_dow_hour_profile(sf_dir: str) -> pa.Table:
         t = t.group_by(["event_type", "dow", "hour"]).aggregate([("n", "sum")])
         return t.rename_columns(["event_type", "dow", "hour", "n"])
 
-    merged = _merge_partials(
-        ev.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        ["event_type", "dow", "hour"], [("n", "sum")],
-        fallback_schema={"event_type": pa.string(), "dow": pa.int64(),
-                         "hour": pa.int64(), "n": pa.int64()})
+    merged = _rollup(
+        ev, partial, ["event_type", "dow", "hour"], [("n", "sum")])
     return merged.sort_by([("event_type", "ascending"), ("dow", "ascending"),
                            ("hour", "ascending")])
 
@@ -14606,9 +13878,7 @@ def events_burst_detection(
         .groupby(["event_type", "day"])
         .map_groups(group_max, batch_format="pyarrow")
     )
-    merged = _merge_partials(
-        partials, ["event_type"], [("m", "max")],
-        fallback_schema={"event_type": pa.string(), "m": pa.int64()})
+    merged = _merge(_collect(partials), ["event_type"], [("m", "max")])
     merged = merged.sort_by([("event_type", "ascending")])
     return merged.rename_columns(["event_type", "max_burst"])
 
@@ -14636,11 +13906,7 @@ def events_daily_anomalies(sf_dir: str) -> pa.Table:
         t = t.group_by(["event_type", "day"]).aggregate([("n", "sum")])
         return t.rename_columns(["event_type", "day", "n"])
 
-    merged = _merge_partials(
-        ev.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        ["event_type", "day"], [("n", "sum")],
-        fallback_schema={"event_type": pa.string(), "day": pa.int64(),
-                         "n": pa.int64()})
+    merged = _rollup(ev, partial, ["event_type", "day"], [("n", "sum")])
     tys = np.asarray(merged.column("event_type").to_pylist(), dtype=object)
     days = merged.column("day").to_numpy()
     ns = merged.column("n").to_numpy()
@@ -14700,7 +13966,7 @@ def user_type_breadth(sf_dir: str) -> pa.Table:
         ev.map_batches(pair_partial, batch_format="pyarrow",
                        zero_copy_batch=True)
         .groupby(["user_id", "event_type"]).aggregate(Sum("one"))
-        .rename_columns(["user_id", "event_type", "one"])
+        .rename_columns({"sum(one)": "one"})
     )
 
     def per_user_partial(b: pa.Table) -> pa.Table:
@@ -14712,7 +13978,7 @@ def user_type_breadth(sf_dir: str) -> pa.Table:
         pairs.map_batches(per_user_partial, batch_format="pyarrow",
                           zero_copy_batch=True)
         .groupby("user_id").aggregate(Sum("k"))
-        .rename_columns(["user_id", "k"])
+        .rename_columns({"sum(k)": "k"})
     )
 
     def hist_partial(b: pa.Table) -> pa.Table:
@@ -14720,11 +13986,7 @@ def user_type_breadth(sf_dir: str) -> pa.Table:
         return pa.table({"k": pa.array(u, pa.int64()),
                          "n_users": pa.array(c, pa.int64())})
 
-    hist = _merge_partials(
-        per_user.map_batches(hist_partial, batch_format="pyarrow",
-                             zero_copy_batch=True),
-        ["k"], [("n_users", "sum")],
-        fallback_schema={"k": pa.int64(), "n_users": pa.int64()})
+    hist = _rollup(per_user, hist_partial, ["k"], [("n_users", "sum")])
     return hist.sort_by([("k", "ascending")])
 
 
@@ -14749,11 +14011,7 @@ def neardup_threshold_curve(sf_dir: str) -> pa.Table:
         return pa.table({"t_ppm": pa.array(t_ppm),
                          "n_pairs": pa.array(cnt)})
 
-    merged = _merge_partials(
-        pairs.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True),
-        ["t_ppm"], [("n_pairs", "sum")],
-        fallback_schema={"t_ppm": pa.int64(), "n_pairs": pa.int64()})
+    merged = _rollup(pairs, partial, ["t_ppm"], [("n_pairs", "sum")])
     have = dict(zip(merged.column("t_ppm").to_pylist(),
                     merged.column("n_pairs").to_pylist()))
     return pa.table({
@@ -14794,8 +14052,7 @@ def lineitem_column_stats(sf_dir: str) -> pa.Table:
         # per-block distinct rows are <= side rows; one driver unique
         # per column replaces a (col, value) exchange that is NOT
         # domain-bounded (extendedprice cents are near-unique)
-        t = _collect(uniq_partials, fallback_schema={
-            "col": pa.string(), "v": pa.int64()})
+        t = _gather(li, partial)
         cl = np.asarray(t.column("col").to_pylist(), dtype=object)
         vv = t.column("v").to_numpy()
         ndv_map = {c: int(np.unique(vv[cl == c]).size) for c in cols}
@@ -14808,11 +14065,7 @@ def lineitem_column_stats(sf_dir: str) -> pa.Table:
             return pa.table({"col": pa.array(u, pa.string()),
                              "ndv": pa.array(c, pa.int64())})
 
-        ndv = _merge_partials(
-            distinct.map_batches(ndv_partial, batch_format="pyarrow",
-                                 zero_copy_batch=True),
-            ["col"], [("ndv", "sum")],
-            fallback_schema={"col": pa.string(), "ndv": pa.int64()})
+        ndv = _rollup(distinct, ndv_partial, ["col"], [("ndv", "sum")])
         ndv_map = dict(zip(ndv.column("col").to_pylist(),
                            ndv.column("ndv").to_pylist()))
 
@@ -14831,11 +14084,9 @@ def lineitem_column_stats(sf_dir: str) -> pa.Table:
                          "max_c": pa.array([r[2] for r in rows], pa.int64()),
                          "n_rows": pa.array([r[3] for r in rows], pa.int64())})
 
-    mm = _merge_partials(
-        li.map_batches(mm_partial, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        ["col"], [("min_c", "min"), ("max_c", "max"), ("n_rows", "sum")],
-        fallback_schema=mm_schema)
+    mm = _rollup(
+        li, mm_partial, ["col"],
+        [("min_c", "min"), ("max_c", "max"), ("n_rows", "sum")])
     mm = mm.sort_by([("col", "ascending")])
     return pa.table({
         "col": mm.column("col"),
@@ -14860,16 +14111,14 @@ def join_cardinality_audit(sf_dir: str) -> pa.Table:
     sums."""
     from ray.data.aggregate import Sum
 
-    def side_partials(path: str, key: str) -> ray.data.Dataset:
-        ds = _read_sized(path, columns=[key], rows_per_block=8192)
-
+    def side_partials(path: str, key: str):
+        """(side read, its per-block (key, count) partial UDF)."""
         def partial(b: pa.Table) -> pa.Table:
             u, c = np.unique(b.column(key).to_numpy(), return_counts=True)
             return pa.table({"k": pa.array(u, pa.int64()),
                              "n": pa.array(c, pa.int64())})
 
-        return ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
+        return _read_sized(path, columns=[key], rows_per_block=8192), partial
 
     op = f"{sf_dir}/orders.parquet"
     lp = f"{sf_dir}/lineitem.parquet"
@@ -14882,13 +14131,14 @@ def join_cardinality_audit(sf_dir: str) -> pa.Table:
         # plus a count-table hash join (Ray op fixed costs dominate at
         # report scale)
         def fold(path, key):
-            t = _collect(side_partials(path, key),
-                         fallback_schema={"k": pa.int64(), "n": pa.int64()})
+            t = _gather(*side_partials(path, key))
             k = t.column("k").to_numpy()
             n = t.column("n").to_numpy()
             order = np.argsort(k, kind="mergesort")
             k, n = k[order], n[order]
             cut = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+            if k.size == 0:  # reduceat needs at least one row
+                return k, n
             return k[cut], np.add.reduceat(n, cut)
 
         k1, c1 = fold(op, "o_orderkey")
@@ -14911,7 +14161,9 @@ def join_cardinality_audit(sf_dir: str) -> pa.Table:
             "est_error": pa.array([est - actual], pa.int64())})
 
     def side_counts(path: str, key: str) -> ray.data.Dataset:
-        return (side_partials(path, key)
+        ds, partial = side_partials(path, key)
+        return (ds.map_batches(partial, batch_format="pyarrow",
+                               zero_copy_batch=True)
                 .groupby("k").aggregate(Sum("n"))
                 .rename_columns(["k", "n"]))
 
@@ -14925,12 +14177,8 @@ def join_cardinality_audit(sf_dir: str) -> pa.Table:
                          "keys": pa.array([b.num_rows], pa.int64())})
 
     def totals(ds: ray.data.Dataset) -> tuple[int, int]:
-        t = _merge_partials(
-            ds.map_batches(tot_partial, batch_format="pyarrow",
-                           zero_copy_batch=True),
-            ["one"], [("rows", "sum"), ("keys", "sum")],
-            fallback_schema={"one": pa.int64(), "rows": pa.int64(),
-                             "keys": pa.int64()})
+        t = _rollup(
+            ds, tot_partial, ["one"], [("rows", "sum"), ("keys", "sum")])
         if t.num_rows == 0:
             return 0, 0
         return (int(t.column("rows")[0].as_py()),
@@ -14951,11 +14199,7 @@ def join_cardinality_audit(sf_dir: str) -> pa.Table:
         return pa.table({"one": pa.array([1], pa.int64()),
                          "s": pa.array([s], pa.int64())})
 
-    pt = _merge_partials(
-        joined.map_batches(prod_partial, batch_format="pyarrow",
-                           zero_copy_batch=True),
-        ["one"], [("s", "sum")],
-        fallback_schema={"one": pa.int64(), "s": pa.int64()})
+    pt = _rollup(joined, prod_partial, ["one"], [("s", "sum")])
     actual = int(pt.column("s")[0].as_py()) if pt.num_rows else 0
     denom = max(ndv1, ndv2)
     est = (n1 * n2) // denom if denom else 0
@@ -14997,11 +14241,8 @@ def sample_bias_audit(sf_dir: str) -> pa.Table:
                          "n_docs": pa.array(n, pa.int64()),
                          "n_sampled": pa.array(s, pa.int64())})
 
-    merged = _merge_partials(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        ["lang"], [("n_docs", "sum"), ("n_sampled", "sum")],
-        fallback_schema={"lang": pa.string(), "n_docs": pa.int64(),
-                         "n_sampled": pa.int64()})
+    merged = _rollup(
+        ds, partial, ["lang"], [("n_docs", "sum"), ("n_sampled", "sum")])
     merged = merged.sort_by([("lang", "ascending")])
     nd = merged.column("n_docs").to_numpy()
     ns = merged.column("n_sampled").to_numpy()
@@ -15058,16 +14299,14 @@ def conversion_funnel_windowed(
         ev.map_batches(typed(first_type), batch_format="pyarrow",
                        zero_copy_batch=True)
         .groupby("user_id").aggregate(Min("ts_us"))
-        .rename_columns(["user_id", "first_us"])
+        .rename_columns({"min(ts_us)": "first_us"})
         .materialize()
     )
     # all-empty mapped blocks become schema-less and break the hash
     # join's key resolution (single-row / purchase-free corpora) — pin
     # the block schema and short-circuit the no-purchase case
-    purchases = D._ensure_block_schema(
-        ev.map_batches(typed(then_type), batch_format="pyarrow",
-                       zero_copy_batch=True).materialize(),
-        {"user_id": pa.int64(), "ts_us": pa.int64()})
+    purchases = _scrubbed(ev.map_batches(
+        typed(then_type), batch_format="pyarrow", zero_copy_batch=True))
     n_signup_early = first.count()
     if n_signup_early == 0 or purchases.count() == 0:
         ppm0 = 0
@@ -15097,10 +14336,7 @@ def conversion_funnel_windowed(
         def p(b: pa.Table) -> pa.Table:
             return pa.table({"one": pa.array([1], pa.int64()),
                              "n": pa.array([b.num_rows], pa.int64())})
-        t = _merge_partials(
-            ds.map_batches(p, batch_format="pyarrow", zero_copy_batch=True),
-            ["one"], [("n", "sum")],
-            fallback_schema={"one": pa.int64(), "n": pa.int64()})
+        t = _rollup(ds, p, ["one"], [("n", "sum")])
         return int(t.column("n")[0].as_py()) if t.num_rows else 0
 
     n_signup = count_rows(first)

@@ -51,6 +51,7 @@ LIMITS: dict[str, int | None] = {
     "conversion_funnel": 5_000_000,
     "customers_without_orders": 5_000_000,
     "decontaminate": 2_000_000,
+    "dedup_cluster_purity": 5_000_000,
     "delta_dedup": 50_000_000,
     "doc_typicality": 2_000_000,
     "dup_ngram_stats.grams": 5_000_000,
@@ -79,6 +80,8 @@ LIMITS: dict[str, int | None] = {
     "order_backlog_monthly": 5_000_000,
     "orders_by_segment.customers": 5_000_000,
     "orders_by_segment.orders": 5_000_000,
+    "pipeline_certificate.dedup": 2_000_000,
+    "pipeline_certificate.survivors": 4096,
     "pmi_bigrams": 2_000_000,
     "prefix_clusters": 2_000_000,
     "q2_min_acctbal_supplier": 4_000_000,
@@ -112,6 +115,7 @@ LIMITS: dict[str, int | None] = {
     "source_diversity": 2_000_000,
     "split_leakage_audit": 2_000_000,
     "systematic_sample": 2_000_000,
+    "user_rfm": 4_000_000,
     "vocab_coverage": 2_000_000,
 }
 

@@ -102,7 +102,7 @@ def exact_dedup_keep_first(ds: ray.data.Dataset, text_col: str = "text") -> ray.
     hashed = ds.map_batches(add_hash, batch_format="pyarrow", zero_copy_batch=True)
     # native groupby-min: one vectorized reduction, no per-group Python
     kept = hashed.groupby("__h").aggregate(Min("doc_id"))
-    return kept.rename_columns(["__h", "doc_id"]).drop_columns(["__h"])
+    return kept.rename_columns({"min(doc_id)": "doc_id"}).drop_columns(["__h"])
 
 
 # ------------------------------------------------------------ MinHash+LSH
@@ -318,21 +318,29 @@ def _ensure_block_schema(
     the UDF.  Instead the scrub is metadata-only — block refs with
     ``num_rows == 0`` are dropped without fetching any block; an all-empty
     result collapses to one typed empty table."""
-    try:
-        good = [
-            ref
-            for bundle in mds.iter_internal_ref_bundles()
-            for ref, meta in bundle.blocks
-            if meta.num_rows is None or meta.num_rows > 0
-        ]
-    except Exception:  # API drift guard: pass through unscrubbed
-        logger.warning("block-schema scrub unavailable", exc_info=True)
+    good = _nonempty_blocks(mds)
+    if good is None:
         return mds
     if not good:
         return ray.data.from_arrow(
             pa.table({n: pa.array([], t) for n, t in schema.items()})
         )
     return ray.data.from_arrow_refs(good)
+
+
+def _nonempty_blocks(mds: ray.data.Dataset) -> list | None:
+    """Refs of the blocks of a MATERIALIZED dataset that hold rows, read
+    from block metadata only; None when that API is unavailable."""
+    try:
+        return [
+            ref
+            for bundle in mds.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks
+            if meta.num_rows is None or meta.num_rows > 0
+        ]
+    except Exception:  # API drift guard: callers pass through unscrubbed
+        logger.warning("block-schema scrub unavailable", exc_info=True)
+        return None
 
 
 def _distinct_pairs(

@@ -65,6 +65,14 @@ def _block_topk(sims: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     return cand[order]
 
 
+def _as_matrix(vecs, dtype=np.float32) -> np.ndarray:
+    """Vectors → ``(n, dim)`` matrix.  Zero vectors keep both axes
+    (``np.asarray([])`` is 1-D, and every row-norm / matmul below needs
+    axis 1)."""
+    mat = np.asarray(vecs, dtype=dtype)
+    return mat.reshape(0, 0) if mat.ndim == 1 and mat.size == 0 else mat
+
+
 def _normalize(mat: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
@@ -92,7 +100,7 @@ def knn_bruteforce(
     wants the closest vectors NOT of the query's class).  The mask is a
     per-block vectorized compare; excluded rows never enter the combiner.
     """
-    q_raw = np.asarray(queries, dtype=np.float32)
+    q_raw = _as_matrix(queries)
     q_zero = np.linalg.norm(q_raw, axis=1) == 0
     qn = _normalize(q_raw)
     q_ref = ray.put((qn, q_zero))
@@ -351,10 +359,10 @@ def build_ivf_centroids(
 ) -> np.ndarray:
     """K-means-lite centroids from a bounded sample (driver-side, seeded)."""
     sample = ds.limit(sample_limit).take_all()
-    mat = _normalize(np.asarray([r[vec_col] for r in sample], dtype=np.float32))
+    mat = _normalize(_as_matrix([r[vec_col] for r in sample]))
     rng = np.random.RandomState(seed)
     centroids = mat[rng.choice(len(mat), size=min(n_centroids, len(mat)), replace=False)]
-    for _ in range(iters):
+    for _ in range(iters if len(centroids) else 0):
         assign = (mat @ centroids.T).argmax(axis=1)
         for c in range(len(centroids)):
             members = mat[assign == c]
@@ -453,7 +461,7 @@ def persisted_ivf_topk(
     ct = pq.read_table(f"{index_root}/centroids.parquet")
     order = np.argsort(ct.column("centroid").to_numpy())
     centroids = np.asarray(ct.column(vec_col).to_pylist(), np.float32)[order]
-    qn = _normalize(np.asarray(queries, dtype=np.float32))
+    qn = _normalize(_as_matrix(queries))
     nprobe = min(nprobe, len(centroids))
     probe_sets = [
         set(np.argsort(-(qn[i] @ centroids.T))[:nprobe].tolist())
@@ -484,7 +492,7 @@ def persisted_ivf_topk(
              "cosine": pa.array([], pa.float64())}
         )
     sub = ray.data.read_parquet(files, columns=[id_col, vec_col, "cent_id"])
-    q_zero = np.linalg.norm(np.asarray(queries, np.float64), axis=1) == 0
+    q_zero = np.linalg.norm(_as_matrix(queries, np.float64), axis=1) == 0
     q_ref = ray.put((qn, probe_sets, q_zero))
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -550,8 +558,8 @@ def ivf_topk(
     """Approximate top-k: probe only the ``nprobe`` closest IVF buckets."""
     centroids = build_ivf_centroids(ds, n_centroids, vec_col=vec_col)
     cent_ref = ray.put(centroids)
-    qn = _normalize(np.asarray(queries, dtype=np.float32))
-    q_zero = np.linalg.norm(np.asarray(queries, np.float64), axis=1) == 0
+    qn = _normalize(_as_matrix(queries))
+    q_zero = np.linalg.norm(_as_matrix(queries, np.float64), axis=1) == 0
     probe_sets = [
         set(np.argsort(-(qn[i] @ centroids.T))[:nprobe].tolist()) for i in range(len(qn))
     ]
@@ -628,6 +636,12 @@ def append_to_persisted_index(
     import pyarrow.parquet as pq
 
     cent_tbl = pq.read_table(f"{index_root}/centroids.parquet")
+    if cent_tbl.num_rows == 0:
+        # an index built from no vectors has no centroids to assign to:
+        # the first append builds it
+        build_persisted_index(ds_new, index_root, id_col=id_col,
+                              vec_col=vec_col, num_blocks=num_blocks)
+        return
     centroids = _normalize(np.asarray(
         cent_tbl.column(vec_col).to_pylist(), dtype=np.float32))
     _assign_and_write(ds_new, centroids, index_root, id_col, vec_col,

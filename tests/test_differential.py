@@ -335,47 +335,6 @@ def test_heavy_hitters_bigram_free_corpus(tmp_path, ray_session):
     assert out.schema.names == ["bigram", "n"]
 
 
-def test_new_ops_on_empty_tables(tmp_path, ray_session):
-    # empty inputs produce typed-empty results (matching the SQL oracles),
-    # never a crash — code-review round-4 finding
-    for t, maker in (("documents", _rand_documents),
-                     ("embeddings", _rand_embeddings),
-                     ("events", _rand_events)):
-        pq.write_table(maker(np.random.RandomState(0), 8).slice(0, 0),
-                       str(tmp_path / f"{t}.parquet"))
-    m = _entry()
-    for name in NEW_OPS:
-        out = m.queries()[name](str(tmp_path))
-        if name == "vocab_coverage":
-            # its oracle's `sizes CROSS JOIN tot` yields one row per
-            # candidate size even over an empty corpus — the impl mirrors
-            # that (NULL coverage_ppm), not a typed-empty table
-            assert out.num_rows == 6, name
-            assert out.column("coverage_ppm").to_pylist() == [None] * 6
-            continue
-        if name == "events_cube":
-            # the () grouping set aggregates even an empty corpus: one
-            # grand-total row with count 0 and NULL sum
-            assert out.num_rows == 1, name
-            assert out.column("n_events").to_pylist() == [0]
-            assert out.column("sum_value_c").to_pylist() == [None]
-            continue
-        if name == "degree_assortativity":
-            # ungrouped-aggregate oracle: one (0 edges, NULL r) row even
-            # over an empty corpus
-            assert out.num_rows == 1, name
-            assert out.column("n_edges").to_pylist() == [0]
-            assert out.column("r_ppm").to_pylist() == [None]
-            continue
-        if name == "split_leakage_audit":
-            # its oracle UNION ALLs three ungrouped aggregates (one per
-            # split pair), so even an empty corpus yields 3 zero-count rows
-            assert out.num_rows == 3, name
-            assert out.column("n_shared_grams").to_pylist() == [0, 0, 0]
-            continue
-        assert out.num_rows == 0, name
-
-
 def _single_row_tables(tmp_path):
     pq.write_table(pa.table(
         {"doc_id": pa.array([0], pa.int64()),
@@ -904,27 +863,6 @@ def test_money_cents_half_up_ties(tmp_path, ray_session):
     m = _entry()
     for name in ("events_hourly", "events_value_buckets",
                  "events_quantiles", "events_rolling"):
-        _compare(m, name, str(tmp_path))
-
-
-# ops the round-4 second-continuation review found crashing on 0-row
-# input files (pre-round-4 family; the NEW_OPS already had guards) —
-# compared against their oracles over fully EMPTY typed tables
-EMPTY_GUARDED_OPS = [
-    "events_sessions", "events_rolling", "events_quantiles",
-    "events_user_counts", "latest_event_per_user", "stratified_sample",
-    "length_filter", "quality_tiers", "user_rfm", "data_card",
-]
-
-
-def test_established_ops_on_empty_tables(tmp_path, ray_session):
-    for t, maker in (("documents", _rand_documents),
-                     ("embeddings", _rand_embeddings),
-                     ("events", _rand_events)):
-        pq.write_table(maker(np.random.RandomState(0), 8).slice(0, 0),
-                       str(tmp_path / f"{t}.parquet"))
-    m = _entry()
-    for name in EMPTY_GUARDED_OPS:
         _compare(m, name, str(tmp_path))
 
 

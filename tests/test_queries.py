@@ -59,11 +59,19 @@ def _to_df(x) -> pd.DataFrame:
 # derived at collection time: every oracle_sql() key is compared — a new
 # oracle can never be silently left out of the matrix
 ORACLED = sorted(_entry_module().oracle_sql())
+QUERIES = sorted(_entry_module().queries())
+
+
+@functools.lru_cache(maxsize=None)
+def _run(name: str):
+    """``queries()[name](SF)``, once per session: the oracle, rows-only
+    and degenerate-table tests share each run."""
+    return _entry_module().queries()[name](SF)
 
 
 @pytest.mark.parametrize("name", ORACLED)
 def test_query_matches_oracle(entry_mod, duck, name):
-    mine = _to_df(entry_mod.queries()[name](SF))
+    mine = _to_df(_run(name))
     ref = _to_df(duck.execute(entry_mod.oracle_sql()[name]).fetchdf())
     pd.testing.assert_frame_equal(mine, ref, check_exact=True)
 
@@ -78,10 +86,63 @@ def test_rows_only_queries_return_rows(entry_mod):
     qs = entry_mod.queries()
     rows_only = set(qs) - set(entry_mod.oracle_sql())
     for name in sorted(rows_only):
-        out = qs[name](SF)
+        out = _run(name)
         n = out.count() if hasattr(out, "count") and not isinstance(
             out, (pa.Table, pd.DataFrame)) else len(out)
         assert n >= 0, name
+
+
+def _dryrun_module():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+        __file__))), "tools", "oracle_dryrun.py")
+    spec = importlib.util.spec_from_file_location("oracle_dryrun", path)
+    m = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(m)
+    return m
+
+
+@pytest.fixture(scope="session")
+def degenerate_sf(tmp_path_factory):
+    """SF with every table cut to its first 0 ("zero") or 1 ("one") rows,
+    written once per session."""
+    import pyarrow.parquet as pq
+
+    if not os.path.isdir(SF):
+        pytest.skip(f"testdata {SF} missing")
+    dirs = {}
+    for kind, n_rows in (("zero", 0), ("one", 1)):
+        d = tmp_path_factory.mktemp(f"sf_{kind}")
+        for t in TABLES:
+            f = f"{SF}/{t}.parquet"
+            if os.path.exists(f):
+                pq.write_table(pq.read_table(f).slice(0, n_rows),
+                               str(d / f"{t}.parquet"))
+        dirs[kind] = str(d)
+    return dirs
+
+
+@pytest.mark.parametrize("name", QUERIES)
+@pytest.mark.parametrize("kind", ["zero", "one"])
+def test_query_on_degenerate_tables(entry_mod, degenerate_sf, kind, name):
+    """Every query runs on zero-row and one-row tables.  An oracled one
+    equals its oracle there (compared as tools/oracle_dryrun.py does), and
+    a table result keeps the schema the query has over SF."""
+    dryrun = _dryrun_module()
+    sf = degenerate_sf[kind]
+    out = entry_mod.queries()[name](sf)
+    mine = dryrun._to_df(out)
+    if isinstance(out, pa.Table):
+        full = _run(name)
+        assert out.schema.equals(full.schema), (out.schema, full.schema)
+    if name in entry_mod.oracle_sql():
+        con = duckdb.connect()
+        for t in TABLES:
+            con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                        f"read_parquet('{sf}/{t}.parquet')")
+        ref = con.execute(entry_mod.oracle_sql()[name]).fetchdf()
+        con.close()
+        ok, why = dryrun._compare(dryrun._canon(mine), dryrun._canon(ref))
+        assert ok, why
 
 
 def test_orders_by_segment_join_fallback(ray_session):
@@ -725,6 +786,7 @@ STAGE_GATE_OPS = {
 EXTRA_FORCINGS = {
     "dup_ngram_stats": [("dup_ngram_stats.grams",)],
     "gram_novelty": [("gram_novelty.grams",)],
+    "pipeline_certificate": [("pipeline_certificate.survivors",)],
     "q16_part_suppliers": [("q16_part_suppliers.pairs",)],
     "q18_large_orders": [("q18_large_orders.lineitem",)],
     "q21_waiting_suppliers": [("q21_waiting_suppliers.pairs",)],
@@ -815,6 +877,23 @@ def test_limits_table_is_fully_pinned():
     pkg = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "swift_readability_ray")
     legacy = re.compile(r"force_distributed|driver_limit|broadcast_limit")
+    for root, _, files in os.walk(pkg):
+        for f in files:
+            if f.endswith(".py"):
+                with open(os.path.join(root, f)) as fh:
+                    assert not legacy.search(fh.read()), f
+
+
+def test_empty_schemas_come_from_the_ops():
+    """No package file brings back a restated empty-result schema: typed
+    empty results come from each op's own UDFs (``_gather`` /
+    ``_rollup``), never from a ``fallback_schema`` or a
+    ``_merge_partials`` merge."""
+    import re
+
+    pkg = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "swift_readability_ray")
+    legacy = re.compile(r"fallback_schema|_merge_partials")
     for root, _, files in os.walk(pkg):
         for f in files:
             if f.endswith(".py"):

@@ -76,7 +76,7 @@ def main() -> int:
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", include_dashboard=False)
+        ray.init(address="local", num_cpus=4, include_dashboard=False)
     import importlib.util
 
     spec = importlib.util.spec_from_file_location(
