@@ -4225,34 +4225,36 @@ def _graph_oracles() -> dict[str, str]:
               LEFT JOIN r{k - 1} r ON r.h = l.src
               LEFT JOIN outdeg o ON o.h = l.src
               GROUP BY n.h)""" for k in range(1, 6))
+    # every HITS CTE is read more than once; inlined, DuckDB re-plans the
+    # unrolled chain at each use (over a minute even on zero-row tables)
     hits_iters = "".join(f""",
-            a{k}r AS (
+            a{k}r AS MATERIALIZED (
               SELECT n.h AS h,
                      CAST(coalesce(sum(l.w * h{k - 1}.s), 0) AS BIGINT) AS s
               FROM nodes n
               LEFT JOIN links l ON l.dst = n.h
               LEFT JOIN h{k - 1} ON h{k - 1}.h = l.src
               GROUP BY n.h),
-            a{k} AS (SELECT h, (s * 1000000)
+            a{k} AS MATERIALIZED (SELECT h, (s * 1000000)
                        // greatest((SELECT max(s) FROM a{k}r), 1) AS s
                      FROM a{k}r),
-            h{k}r AS (
+            h{k}r AS MATERIALIZED (
               SELECT n.h AS h,
                      CAST(coalesce(sum(l.w * a{k}.s), 0) AS BIGINT) AS s
               FROM nodes n
               LEFT JOIN links l ON l.src = n.h
               LEFT JOIN a{k} ON a{k}.h = l.dst
               GROUP BY n.h),
-            h{k} AS (SELECT h, (s * 1000000)
+            h{k} AS MATERIALIZED (SELECT h, (s * 1000000)
                        // greatest((SELECT max(s) FROM h{k}r), 1) AS s
                      FROM h{k}r)""" for k in range(1, 4))
     return {
         # HITS: 3 unrolled iterations of the same max-normalized integer
         # update the engine runs (see stages/graph.hits)
-        "hits_hosts": "WITH " + link_cte + """,
-            nodes AS (SELECT DISTINCT h FROM (
+        "hits_hosts": "WITH " + link_cte.replace(" AS (", " AS MATERIALIZED (") + """,
+            nodes AS MATERIALIZED (SELECT DISTINCT h FROM (
               SELECT src AS h FROM links UNION ALL SELECT dst FROM links)),
-            h0 AS (SELECT h, CAST(1000000 AS BIGINT) AS s FROM nodes)"""
+            h0 AS MATERIALIZED (SELECT h, CAST(1000000 AS BIGINT) AS s FROM nodes)"""
         + hits_iters + """
             SELECT a3.h AS host, CAST(a3.s AS BIGINT) AS authority_c,
                    CAST(h3.s AS BIGINT) AS hub_c

@@ -15,14 +15,15 @@ Design points for 100 TB scale:
   (> ``skew_threshold_bytes``) are extracted one per batch so one 50 MB
   document cannot stall a 4 MB-average batch.
 - resumable: ``run_resumable_extraction`` stages the input once into
-  hash-partitioned shuffle files, then extracts every pending partition's
-  staged files in ONE streaming Ray execution (a work item per staged file,
-  linear total I/O, no per-partition execution cost) into a per-run scratch
-  directory, and commits each partition when its last file lands: rename to
-  ``part=<k>``, then an atomic lineage record (state/lineage.py) whose
-  metrics come from the workers' per-file manifests.  Restarts skip
-  completed partitions and a completed job writes the METRICS-schema
-  report beside the data.
+  hash-partitioned shuffle files (one Ray Data execution), then extracts
+  every pending partition's staged files as plain Ray tasks, one per staged
+  file (linear total I/O, no Ray Data execution after staging), into a
+  per-run scratch directory.  The caller takes the tasks' manifests with
+  ``ray.wait`` and commits each partition when its last manifest returns:
+  rename to ``part=<k>``, then an atomic lineage record (state/lineage.py)
+  whose metrics come from the manifests.  An abort cancels the tasks not
+  yet returned.  Restarts skip completed partitions and a completed job
+  writes the METRICS-schema report beside the data.
 """
 
 from __future__ import annotations
@@ -32,12 +33,12 @@ import json
 import os
 import shutil
 import uuid
-from contextlib import closing
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 import ray.data
 
 from ..functions.hashing import mix64 as _mix64
@@ -199,14 +200,15 @@ def run_extraction(
 _MANIFEST_KEYS = ("docs_processed", "docs_failed", "candidates_scored", "bytes_parsed", "wall_us")
 
 
-def _extract_staged_file(item: dict, options, base_url: str, batch_size: int) -> dict:
-    """``map_batches`` UDF over one work item (one staged file): streams the
-    file in ``batch_size``-row batches through the extractor into the item's
-    scratch file and returns a one-row manifest counted from the rows
-    written — metrics come from the data, with no re-read of the output."""
+@ray.remote
+def _extract_staged_file(src: str, dst: str, options, base_url: str, batch_size: int) -> dict:
+    """Ray task over one staged file: streams it in ``batch_size``-row
+    batches through the extractor into the scratch file ``dst`` and returns
+    a manifest counted from the rows written — metrics come from the data,
+    with no re-read of the output."""
     totals = dict.fromkeys(_MANIFEST_KEYS, 0)
-    with pq.ParquetWriter(item["dst"][0], OUT) as writer:
-        staged = pq.ParquetFile(item["src"][0])
+    with pq.ParquetWriter(dst, OUT) as writer:
+        staged = pq.ParquetFile(src)
         for rb in staged.iter_batches(batch_size, columns=["doc_id", "spans"]):
             # looked up per call, so wrappers installed after import apply
             out = _extract.extract_spans_batch(pa.Table.from_batches([rb]),
@@ -217,7 +219,7 @@ def _extract_staged_file(item: dict, options, base_url: str, batch_size: int) ->
             for key, col in (("candidates_scored", "n_candidates"),
                              ("bytes_parsed", "input_bytes"), ("wall_us", "wall_us")):
                 totals[key] += pc.sum(out.column(col)).as_py() or 0
-    return {"part": item["part"], **{key: [n] for key, n in totals.items()}}
+    return totals
 
 
 def run_resumable_extraction(
@@ -231,28 +233,31 @@ def run_resumable_extraction(
 ) -> dict:
     """Partitioned, resumable run with per-partition lineage commits.
 
-    Two phases, each linear in the input size and each one Ray execution:
+    Two phases, each linear in the input size:
 
-    1. **Stage** (one full pass): read → append doc_id-hash ``part`` column →
-       write ``out/staging/part=<k>/``.  This is the job's one explicit
-       exchange — the same materialized-shuffle-files pattern every
-       shuffle-service uses — and is itself resumable as a unit (an
-       incomplete staging is discarded and redone).  The staging marker
-       records ``num_partitions``.
-    2. **Extract: one execution, per-partition commit by rename.**  Every
-       staged file of every pending partition is one work item of a single
-       streaming execution; each item is extracted into this run's scratch
-       directory ``out/_attempts/<run-id>/part=<k>/`` and reports a manifest
-       row.  When a partition's last file lands, the caller renames its
-       scratch directory to ``out/part=<k>/`` and then writes an atomic
-       lineage record with the manifests' metrics; a partition with no rows
-       is committed at once.  Writes of an aborted run stay in its own
-       scratch directory, which the next run deletes; a re-run skips
-       completed partitions and cleans half-committed orphans.
+    1. **Stage** (one full pass, one Ray Data execution): read → append
+       doc_id-hash ``part`` column → write ``out/staging/part=<k>/``.  This
+       is the job's one explicit exchange — the same materialized-shuffle-
+       files pattern every shuffle-service uses — and is itself resumable as
+       a unit (an incomplete staging is discarded and redone).  The staging
+       marker records ``num_partitions``.
+    2. **Extract: Ray tasks, per-partition commit by rename.**  Every staged
+       file of every pending partition is one Ray task, which extracts it
+       into this run's scratch directory ``out/_attempts/<run-id>/part=<k>/``
+       and returns a manifest.  The caller takes manifests with ``ray.wait``
+       as tasks finish; when a partition's last manifest returns, it renames
+       the partition's scratch directory to ``out/part=<k>/`` and then writes
+       an atomic lineage record with the manifests' metrics.  A partition
+       with no rows is committed at once.  On any exception (an injected
+       abort included) the tasks not yet returned are cancelled before it
+       propagates.  Writes of an aborted run stay in its own scratch
+       directory, which the next run deletes; a re-run skips completed
+       partitions and cleans half-committed orphans.
 
     Filtering the full input once per partition instead would scan the
-    dataset ``num_partitions`` times — quadratic I/O at 100 TB — and one
-    execution per partition would pay Ray's per-execution cost each time.
+    dataset ``num_partitions`` times — quadratic I/O at 100 TB.  The
+    extraction phase is plain tasks because a Ray Data execution there
+    would add no operator, only its start-up and per-block scheduling cost.
     An output directory keeps the ``num_partitions`` it was started with;
     another value raises ``ValueError`` (its buckets would differ).
     ``fail_after_partitions`` injects an abort after that many commits, for
@@ -292,7 +297,7 @@ def run_resumable_extraction(
     attempts = os.path.join(output_path, "_attempts")
     shutil.rmtree(attempts, ignore_errors=True)  # scratch of earlier runs
     scratch = os.path.join(attempts, uuid.uuid4().hex)
-    items, left, totals, committed = [], {}, {}, []
+    left, totals, committed = {}, {}, []
 
     def commit(part: int) -> None:
         os.rename(os.path.join(scratch, f"part={part}"), log.partition_dir(part))
@@ -303,27 +308,30 @@ def run_resumable_extraction(
         if fail_after_partitions is not None and len(committed) >= fail_after_partitions:
             raise RuntimeError(f"injected failure after {fail_after_partitions} partitions")
 
-    for part in pending:
-        log.clean_orphan(part)
-        os.makedirs(os.path.join(scratch, f"part={part}"))
-        files = sorted(glob.glob(os.path.join(staging, f"part={part}", "*.parquet")))
-        left[part], totals[part] = len(files), dict.fromkeys(_MANIFEST_KEYS, 0)
-        items += [{"part": part, "src": f, "dst": f.replace(staging, scratch, 1)} for f in files]
-        if not files:  # hash bucket got no rows
-            commit(part)
-    if items:
-        ds = ray.data.from_items(items, override_num_blocks=len(items)).map_batches(
-            _extract_staged_file, batch_size=1,
-            fn_kwargs={"options": options, "base_url": base_url, "batch_size": batch_size})
-        # no prefetch: a partition commits as soon as its last manifest is out
-        batches = ds.iter_batches(batch_size=None, batch_format="pyarrow", prefetch_batches=0)
-        with closing(iter(batches)) as manifests:  # an abort stops the other tasks
-            for m in (row for batch in manifests for row in batch.to_pylist()):
-                part = m["part"]
-                totals[part] = {k: n + m[k] for k, n in totals[part].items()}
-                left[part] -= 1
-                if not left[part]:
-                    commit(part)
+    refs, part_of = [], {}  # tasks not yet returned; each task's partition
+    try:
+        for part in pending:
+            log.clean_orphan(part)
+            os.makedirs(os.path.join(scratch, f"part={part}"))
+            files = sorted(glob.glob(os.path.join(staging, f"part={part}", "*.parquet")))
+            left[part], totals[part] = len(files), dict.fromkeys(_MANIFEST_KEYS, 0)
+            for f in files:
+                refs.append(_extract_staged_file.remote(
+                    f, f.replace(staging, scratch, 1), options, base_url, batch_size))
+                part_of[refs[-1]] = part
+            if not files:  # hash bucket got no rows
+                commit(part)
+        while refs:
+            [ref], refs = ray.wait(refs)
+            part = part_of[ref]
+            manifest = ray.get(ref)
+            totals[part] = {k: n + manifest[k] for k, n in totals[part].items()}
+            left[part] -= 1
+            if not left[part]:
+                commit(part)
+    finally:
+        for ref in refs:  # an abort stops the tasks not yet returned
+            ray.cancel(ref)
 
     if len(log.completed_partitions()) >= num_partitions:
         # all committed: drop shuffle files and scratch; write the job report,

@@ -190,9 +190,10 @@ def _empty_of(ds: ray.data.Dataset) -> pa.Table:
     ``select_columns``.  So the logical plan is replayed on the typed
     empty table of its source: each pyarrow UDF supplies its own empty
     output, filters and shuffles keep their input's schema, projections
-    select and rename, and an aggregate types its columns as the pyarrow
-    kernel does.  Anything else (a join, a union) falls back to
-    ``ds.schema()``."""
+    select and rename, an aggregate types its columns as the pyarrow
+    kernel does, and a join is pyarrow's join of its sides (what Ray's
+    hash join runs per partition), a union its first input's.  Anything
+    else falls back to ``ds.schema()``."""
     t = _empty_op(ds._logical_plan.dag)
     if t is not None:
         return t
@@ -204,12 +205,16 @@ def _empty_of(ds: ray.data.Dataset) -> pa.Table:
 
 def _empty_op(op) -> pa.Table | None:
     """``op``'s output over empty sources, or None when not derivable."""
+    from ray.data._internal.execution.operators.join import (
+        _JOIN_TYPE_TO_ARROW_JOIN_VERB_MAP)
     from ray.data._internal.logical.operators.all_to_all_operator import (
         Aggregate, RandomShuffle, Repartition, Sort)
+    from ray.data._internal.logical.operators.join_operator import Join
     from ray.data._internal.logical.operators.map_operator import (
         Filter, MapBatches, Project)
+    from ray.data._internal.logical.operators.n_ary_operator import Union
 
-    if isinstance(op, (Filter, RandomShuffle, Repartition, Sort)):
+    if isinstance(op, (Filter, RandomShuffle, Repartition, Sort, Union)):
         return _empty_op(op.input_dependencies[0])
     if isinstance(op, Project) and not op.exprs:
         t = _empty_op(op.input_dependencies[0])
@@ -236,6 +241,16 @@ def _empty_op(op) -> pa.Table | None:
     if isinstance(op, Aggregate):
         t = _empty_op(op.input_dependencies[0])
         return None if t is None else _empty_aggregate(t, op._key, op._aggs)
+    if isinstance(op, Join):
+        left, right = (_empty_op(d) for d in op.input_dependencies)
+        if left is None or right is None:
+            return None
+        return left.join(
+            right, keys=list(op._left_key_columns),
+            right_keys=list(op._right_key_columns),
+            join_type=_JOIN_TYPE_TO_ARROW_JOIN_VERB_MAP[op._join_type],
+            left_suffix=op._left_columns_suffix,
+            right_suffix=op._right_columns_suffix)
     s = op.infer_schema()
     if s is None:  # a source of zero-row blocks still holds their schema
         s = next((b.schema for b in getattr(op, "input_data", None) or ()
@@ -320,6 +335,26 @@ def _scrubbed(ds: ray.data.Dataset) -> ray.data.Dataset:
     if not good:
         return ray.data.from_arrow(_empty_of(ds))
     return ray.data.from_arrow_refs(good)
+
+
+def _inner_join(left: ray.data.Dataset, right: ray.data.Dataset,
+                **join_kw) -> ray.data.Dataset:
+    """``left.join(right, join_type="inner", **join_kw)`` that also runs
+    when a side has no rows.  Ray's hash join sends a side's schema to
+    every partition with that side's first block, and a block without
+    rows sends nothing, so such a side leaves partitions schema-less and
+    the join fails ("No match or multiple matches for key field
+    reference").  Each side is ``_scrubbed``, and a side with no rows
+    becomes one all-null row: a null key matches nothing, so the inner
+    join's rows are unchanged."""
+    def side(ds: ray.data.Dataset) -> ray.data.Dataset:
+        mds = _scrubbed(ds)
+        if mds.count():
+            return mds
+        return ray.data.from_arrow(pa.table(
+            {f.name: pa.nulls(1, f.type) for f in _empty_of(ds).schema}))
+
+    return side(left).join(side(right), join_type="inner", **join_kw)
 
 
 def _materialize(src: ray.data.Dataset, fn) -> ray.data.Dataset:
@@ -2203,16 +2238,14 @@ def dup_ngram_stats(sf_dir: str, n: int = 8) -> pa.Table:
             .column("gram_h").to_numpy()
         )
     else:
-        dup_keys = (
+        dup_keys = _scrubbed(
             gram_rows.map_batches(
                 count_partial, batch_format="pyarrow", zero_copy_batch=True
             )
             .groupby("gram_h").aggregate(Sum("nd"))
-            .rename_columns(["gram_h", "nd_total"])
+            .rename_columns({"sum(nd)": "nd_total"})
             .filter(expr="nd_total >= 2")
-            .select_columns(["gram_h"])
-            .materialize()
-        )
+            .select_columns(["gram_h"]))
         n_dup_keys = D._metadata_row_count(dup_keys)
         if R.route("dup_ngram_stats.keys", n_dup_keys) == "driver":
             dup_np = np.sort(np.concatenate(
@@ -2237,8 +2270,8 @@ def dup_ngram_stats(sf_dir: str, n: int = 8) -> pa.Table:
             keep_dup, batch_format="pyarrow", zero_copy_batch=True
         )
     else:
-        dup_rows = gram_rows.join(
-            dup_keys, join_type="inner",
+        dup_rows = _inner_join(
+            gram_rows, dup_keys,
             num_partitions=D._default_join_partitions(gram_rows), on=("gram_h",),
         )
 
@@ -2542,12 +2575,12 @@ def dup_span_coverage(sf_dir: str, n: int = 8) -> pa.Table:
             rows.map_batches(count_partial, batch_format="pyarrow",
                              zero_copy_batch=True)
             .groupby("gram_h").aggregate(Sum("cnt"))
-            .rename_columns(["gram_h", "cnt_total"])
+            .rename_columns({"sum(cnt)": "cnt_total"})
             .filter(expr="cnt_total >= 2")
             .select_columns(["gram_h"])
         )
-        dup_starts = rows.filter(expr="is_gram == 1").join(
-            dup_keys, join_type="inner",
+        dup_starts = _inner_join(
+            rows.filter(expr="is_gram == 1"), dup_keys,
             num_partitions=D._default_join_partitions(rows), on=("gram_h",),
         ).select_columns(["doc_id", "pos", "n_tokens", "is_gram"])
         tagged = dup_starts.union(
@@ -2557,13 +2590,15 @@ def dup_span_coverage(sf_dir: str, n: int = 8) -> pa.Table:
 
         def cover_group(group: pa.Table) -> pa.Table:
             is_gram = group.column("is_gram").to_numpy()
-            n_tok = int(group.column("n_tokens").to_numpy()[is_gram == 0][0])
+            # the doc's one token-count row (none in an empty group)
+            n_tok = group.column("n_tokens").to_numpy()[is_gram == 0][:1]
             starts = group.column("pos").to_numpy()[is_gram == 1]
             return pa.table(
                 {"doc_id": group.column("doc_id").slice(0, 1),
-                 "n_tokens": pa.array([n_tok], pa.int64()),
+                 "n_tokens": pa.array(n_tok, pa.int64()),
                  "n_covered": pa.array(
-                     [_interval_union_len(starts, n, n_tok)], pa.int64())}
+                     [_interval_union_len(starts, n, int(t)) for t in n_tok],
+                     pa.int64())}
             )
 
         tbl = _collect(
@@ -2892,10 +2927,11 @@ def delta_dedup(sf_dir: str, new_mod: int = 10, new_rem: int = 0) -> pa.Table:
                                          zero_copy_batch=True))
             .groupby("digest")
             .aggregate(Max("is_corpus"), Min("first_doc"))
-            .rename_columns(["digest", "is_corpus", "first_doc"])
+            .rename_columns({"max(is_corpus)": "is_corpus",
+                             "min(first_doc)": "first_doc"})
         )
-        joined = new_rows.join(
-            rhs, join_type="inner",
+        joined = _inner_join(
+            new_rows, rhs,
             num_partitions=D._default_join_partitions(keyed),
             on=("digest",),
         )
@@ -2975,7 +3011,7 @@ def latest_event_per_user(sf_dir: str) -> pa.Table:
         # round 1: max ts per user; join back to drop stale block winners
         mat = partials.materialize()  # consumed by three passes below
         w1 = mat.groupby("user_id").aggregate(Max("ts_us")).rename_columns(
-            ["user_id", "ts_us"]
+            {"max(ts_us)": "ts_us"}
         )
         at_max_ts = mat.join(
             w1, join_type="inner",
@@ -2985,7 +3021,7 @@ def latest_event_per_user(sf_dir: str) -> pa.Table:
         # round 2: among same-max-ts ties, max event_id wins
         w2 = at_max_ts.groupby("user_id").aggregate(
             Max("event_id")
-        ).rename_columns(["user_id", "event_id"])
+        ).rename_columns({"max(event_id)": "event_id"})
         final = at_max_ts.join(
             w2, join_type="inner",
             num_partitions=D._default_join_partitions(mat),
@@ -3575,7 +3611,7 @@ def heavy_hitters(
             ),
             batch_format="pyarrow", zero_copy_batch=True,
         ).groupby("bigram").aggregate(Sum("n")).rename_columns(
-            ["bigram", "n"])
+            {"sum(n)": "n"})
 
         def block_topk(b: pa.Table) -> pa.Table:
             b = b.set_column(1, "n", pc.cast(b.column("n"), pa.int64()))
@@ -5253,7 +5289,7 @@ def neardup_keep_best(sf_dir: str, threshold: float = 0.5) -> pa.Table:
 
     best = _scrubbed(tagged.groupby("label").aggregate(
         Max("n_chars"), Count()
-    ).rename_columns(["label", "best_nc", "cluster_size"]))
+    ).rename_columns({"max(n_chars)": "best_nc", "count()": "cluster_size"}))
 
     pick = _scrubbed(tagged.join(
         best, join_type="inner", num_partitions=npart, on=("label",),
@@ -5263,7 +5299,7 @@ def neardup_keep_best(sf_dir: str, threshold: float = 0.5) -> pa.Table:
                                     b.column("best_nc"))),
         batch_format="pyarrow", zero_copy_batch=True,
     ).groupby("label").aggregate(Min("doc_id")).rename_columns(
-        ["label", "doc_id"]))
+        {"min(doc_id)": "doc_id"}))
 
     return _gather(
         pick.join(best, join_type="inner", num_partitions=npart,
@@ -5321,7 +5357,7 @@ def media_dedup(sf_dir: str, n: int = 64) -> pa.Table:
         return empty
     agg = _scrubbed(hashed.groupby("h").aggregate(
         Min("doc_id"), Count()).rename_columns(
-        ["h", "canonical_doc_id", "n_copies"]))
+        {"min(doc_id)": "canonical_doc_id", "count()": "n_copies"}))
     return _gather(
         hashed.join(agg, join_type="inner",
                     num_partitions=D._default_join_partitions(hashed),
@@ -5531,7 +5567,7 @@ def retention_cohorts(sf_dir: str) -> pa.Table:
     uw = _materialize(ds.groupby(["user_id", "wk"]).aggregate(Count()),
                       lambda b: b.select(["user_id", "wk"]))
     cohort = uw.groupby("user_id").aggregate(Min("wk")).rename_columns(
-        ["user_id", "cw"])
+        {"min(wk)": "cw"})
     return _rollup(
         uw.join(cohort, join_type="inner",
                 num_partitions=D._default_join_partitions(uw),
@@ -5593,7 +5629,7 @@ def cooccurrence_pairs(sf_dir: str, k: int = 20) -> pa.Table:
     grouped = ds.map_batches(
         pair_partial, batch_format="pyarrow", zero_copy_batch=True
     ).groupby(["t1", "t2"]).aggregate(Sum("n_docs")).rename_columns(
-        ["t1", "t2", "n_docs"])
+        {"sum(n_docs)": "n_docs"})
 
     def block_topk(b: pa.Table) -> pa.Table:
         b = b.set_column(2, "n_docs", pc.cast(b.column("n_docs"), pa.int64()))
@@ -7264,7 +7300,7 @@ def q4_priority_anomalies(
     minship = li.map_batches(
         minship_partial, batch_format="pyarrow", zero_copy_batch=True,
     ).groupby("l_orderkey").aggregate(Min("m")).rename_columns(
-        ["l_orderkey", "m"])
+        {"min(m)": "m"})
     n_cpus = int(ray.cluster_resources().get("CPU", 8))
     joined = fords.join(
         minship, join_type="inner", num_partitions=max(2, n_cpus),
@@ -7507,7 +7543,7 @@ def user_rfm(sf_dir: str) -> pa.Table:
 
     grouped = partials.groupby("user_id").aggregate(
         Sum("n"), Sum("m"), Max("t")).rename_columns(
-        ["user_id", "n", "m", "t"]).materialize()
+        {"sum(n)": "n", "sum(m)": "m", "max(t)": "t"}).materialize()
     g_max = grouped.max("t")
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -7568,7 +7604,7 @@ def data_card(sf_dir: str) -> pa.Table:
                        zero_copy_batch=True)
         .groupby(["source", "lang", "n_chars"])
         .aggregate(Sum("cnt"), Sum("tok"))
-        .rename_columns(["source", "lang", "n_chars", "cnt", "tok"]))
+        .rename_columns({"sum(cnt)": "cnt", "sum(tok)": "tok"}))
     hist = hist.sort_by([("source", "ascending"), ("lang", "ascending"),
                          ("n_chars", "ascending")])
     src = np.asarray(hist.column("source").combine_chunks())
@@ -7775,7 +7811,7 @@ def vocab_encode(sf_dir: str, vocab_size: int = 16) -> pa.Table:
                      rows_per_block=1024)
     counts = ds.map_batches(
         count_partial, batch_format="pyarrow", zero_copy_batch=True,
-    ).groupby("tok").aggregate(Sum("n")).rename_columns(["tok", "n"])
+    ).groupby("tok").aggregate(Sum("n")).rename_columns({"sum(n)": "n"})
     sort_keys = [("n", "descending"), ("tok", "ascending")]
 
     def block_topv(b: pa.Table) -> pa.Table:
@@ -8342,7 +8378,7 @@ def q13_order_distribution(
         return finish(hist, int(hit.sum()))
 
     counts = partials.groupby("o_custkey").aggregate(
-        Sum("n")).rename_columns(["o_custkey", "n"])
+        Sum("n")).rename_columns({"sum(n)": "n"})
     valid = counts.join(
         customers, join_type="inner",
         num_partitions=D._default_join_partitions(counts),
@@ -8473,7 +8509,7 @@ def q10_returned_revenue(
                                 zero_copy_batch=True)
         summed = keyed.groupby("o_custkey").aggregate(Sum("rev_c4")
                                                       ).rename_columns(
-            ["o_custkey", "rev_c4"])
+            {"sum(rev_c4)": "rev_c4"})
 
         def block_topk(b: pa.Table) -> pa.Table:
             t = pa.table({"o_custkey": pc.cast(b.column("o_custkey"),
@@ -8683,7 +8719,7 @@ def skipgram_pairs(
     summed = ds.map_batches(
         pair_partial, batch_format="pyarrow", zero_copy_batch=True,
     ).groupby(["w1", "w2"]).aggregate(Sum("n")).rename_columns(
-        ["w1", "w2", "n"])
+        {"sum(n)": "n"})
     sort_keys = [("n", "descending"), ("w1", "ascending"),
                  ("w2", "ascending")]
 
@@ -10847,7 +10883,7 @@ def doc_frequency(sf_dir: str, k: int = 25) -> pa.Table:
     agg = ds.map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True
     ).groupby("term").aggregate(Sum("n_docs")).rename_columns(
-        ["term", "n_docs"])
+        {"sum(n_docs)": "n_docs"})
     keys = [("n_docs", "descending"), ("term", "ascending")]
 
     def block_topk(batch: pa.Table) -> pa.Table:
@@ -12558,7 +12594,7 @@ def boilerplate_lines(
         ds.map_batches(chunk_partial, batch_format="pyarrow",
                        zero_copy_batch=True)
         .groupby(["source", "k"]).aggregate(Sum("n"))
-        .rename_columns(["source", "k", "df"])
+        .rename_columns({"sum(n)": "df"})
     )
 
     def rollup(batch: pa.Table) -> pa.Table:
@@ -12712,13 +12748,11 @@ def gram_novelty(sf_dir: str, n: int = 8) -> pa.Table:
     else:
         from ray.data.aggregate import Min
 
-        first_ds = (
+        first_ds = _scrubbed(
             gram_rows.map_batches(first_partial, batch_format="pyarrow",
                                   zero_copy_batch=True)
             .groupby("gram_h").aggregate(Min("first_doc"))
-            .rename_columns(["gram_h", "first_doc"])
-            .materialize()
-        )
+            .rename_columns({"min(first_doc)": "first_doc"}))
         n_keys = D._metadata_row_count(first_ds)
         if R.route("gram_novelty.keys", n_keys) == "driver":
             parts = [b for b in first_ds.iter_batches(batch_format="pyarrow")]
@@ -12745,8 +12779,8 @@ def gram_novelty(sf_dir: str, n: int = 8) -> pa.Table:
         flagged = gram_rows.map_batches(
             flag, batch_format="pyarrow", zero_copy_batch=True)
     else:
-        joined = gram_rows.join(
-            first_ds, join_type="inner",
+        joined = _inner_join(
+            gram_rows, first_ds,
             num_partitions=D._default_join_partitions(gram_rows),
             on=("gram_h",),
         )
@@ -12776,7 +12810,7 @@ def gram_novelty(sf_dir: str, n: int = 8) -> pa.Table:
         per_doc = _collect(
             partials.groupby("doc_id")
             .aggregate(Sum("n_grams"), Sum("n_novel"))
-            .rename_columns(["doc_id", "n_grams", "n_novel"]))
+            .rename_columns({"sum(n_grams)": "n_grams", "sum(n_novel)": "n_novel"}))
     per_doc = per_doc.sort_by([("doc_id", "ascending")])
     ng = per_doc.column("n_grams").to_numpy().astype(np.float64)
     nv = per_doc.column("n_novel").to_numpy().astype(np.float64)
@@ -13350,7 +13384,7 @@ def host_link_reciprocity(sf_dir: str) -> pa.Table:
     edges = (
         partials.groupby(["src_host", "dst_host"])
         .aggregate(Sum("n"))
-        .rename_columns(["src_host", "dst_host", "n"])
+        .rename_columns({"sum(n)": "n"})
         .materialize()
     )
 
@@ -13456,10 +13490,10 @@ def order_backlog_monthly(sf_dir: str) -> pa.Table:
         li.map_batches(max_partial, batch_format="pyarrow",
                        zero_copy_batch=True)
         .groupby("o_orderkey").aggregate(Max("done_us"))
-        .rename_columns(["o_orderkey", "done_us"])
+        .rename_columns({"max(done_us)": "done_us"})
     )
-    joined = comp_ds.join(
-        ords.materialize(), join_type="inner",
+    joined = _inner_join(
+        comp_ds, ords,
         num_partitions=D._default_join_partitions(comp_ds),
         on=("o_orderkey",),
     )
@@ -13576,7 +13610,7 @@ def dedup_cluster_purity(sf_dir: str, threshold: float = 0.5) -> pa.Table:
         joined.map_batches(ls_partial, batch_format="pyarrow",
                            zero_copy_batch=True)
         .groupby(["label", "source"]).aggregate(Sum("n"))
-        .rename_columns(["label", "source", "n"])
+        .rename_columns({"sum(n)": "n"})
     )
 
     def finish(lab: np.ndarray, n: np.ndarray) -> pa.Table:
@@ -13768,7 +13802,7 @@ def host_bfs_depths(
     edges = _scrubbed(
         partials.groupby(["src_host", "dst_host"])
         .aggregate(Min("n"))
-        .rename_columns(["src_host", "dst_host", "n"]))
+        .rename_columns({"min(n)": "n"}))
     dist_ds = ray.data.from_arrow(pa.table(
         {"host": pa.array([seed_host], pa.string()),
          "depth": pa.array([0], pa.int64())}))
@@ -13785,7 +13819,7 @@ def host_bfs_depths(
         dist_ds = _scrubbed(
             dist_ds.union(frontier)
             .groupby("host").aggregate(Min("depth"))
-            .rename_columns(["host", "depth"]))
+            .rename_columns({"min(depth)": "depth"}))
     out = _collect(dist_ds)
     return out.sort_by([("host", "ascending")])
 
@@ -14165,10 +14199,10 @@ def join_cardinality_audit(sf_dir: str) -> pa.Table:
         return (ds.map_batches(partial, batch_format="pyarrow",
                                zero_copy_batch=True)
                 .groupby("k").aggregate(Sum("n"))
-                .rename_columns(["k", "n"]))
+                .rename_columns({"sum(n)": "n"}))
 
-    oc = side_counts(op, "o_orderkey").materialize()
-    lc = side_counts(lp, "l_orderkey").materialize()
+    oc = _scrubbed(side_counts(op, "o_orderkey"))
+    lc = _scrubbed(side_counts(lp, "l_orderkey"))
 
     def tot_partial(b: pa.Table) -> pa.Table:
         return pa.table({"one": pa.array([1], pa.int64()),
@@ -14186,11 +14220,11 @@ def join_cardinality_audit(sf_dir: str) -> pa.Table:
 
     n1, ndv1 = totals(oc)
     n2, ndv2 = totals(lc)
-    joined = oc.join(
+    joined = _inner_join(
+        oc,
         lc.map_batches(
             lambda b: pa.table({"k": b.column("k"), "n2": b.column("n")}),
             batch_format="pyarrow"),
-        join_type="inner",
         num_partitions=D._default_join_partitions(lc), on=("k",),
     )
 

@@ -359,7 +359,7 @@ def _distinct_pairs(
         agg = pairs.groupby(["doc_a", "doc_b"]).aggregate(Count())
         return agg.drop_columns(["count()"])
     agg = pairs.groupby(["doc_a", "doc_b"]).aggregate(Min(value_col))
-    return agg.rename_columns(["doc_a", "doc_b", value_col])
+    return agg.rename_columns({f"min({value_col})": value_col})
 
 
 def minhash_dedup_pairs(
@@ -750,7 +750,7 @@ def propagate_min_labels(
     )
     labels = (
         init.groupby("u").aggregate(Min("label"))
-        .rename_columns(["u", "label"])
+        .rename_columns({"min(label)": "label"})
         .materialize()
     )
 
@@ -793,7 +793,7 @@ def propagate_min_labels(
             sources[0].union(*sources[1:])
             .groupby("u")
             .aggregate(Min("label"), Min("old_label"))
-            .rename_columns(["u", "label", "old_label"])
+            .rename_columns({"min(label)": "label", "min(old_label)": "old_label"})
             .materialize()
         )
         n_changed = merged.filter(expr="label < old_label").count()
@@ -1667,7 +1667,7 @@ def containment_dedup_pairs(
         postings.map_batches(df_partial, batch_format="pyarrow",
                              zero_copy_batch=True)
         .groupby("sh").aggregate(Sum("n"))
-        .rename_columns(["sh", "df"])
+        .rename_columns({"sum(n)": "df"})
     )
     post_df = postings.join(
         df_tbl, join_type="inner", num_partitions=join_partitions,

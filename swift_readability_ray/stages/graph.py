@@ -138,7 +138,7 @@ def _pagerank_distributed(
 
     outdeg = (
         ew.groupby("src").aggregate(Sum("w"))
-        .rename_columns(["src", "od"])
+        .rename_columns({"sum(w)": "od"})
     )
     ewo = ew.join(
         outdeg, join_type="inner", num_partitions=join_partitions,
@@ -188,7 +188,7 @@ def _pagerank_distributed(
         ranks = (
             contrib.union(zeros)
             .groupby("dst").aggregate(Sum("c"))
-            .rename_columns(["dst", "c"])
+            .rename_columns({"sum(c)": "c"})
             .map_batches(finish_batch, batch_format="pyarrow",
                          zero_copy_batch=True)
             .materialize()
@@ -331,7 +331,7 @@ def random_walks(
 
     # ew rows are distinct (src,dst): out-neighbor count is a row count
     outn = ew.groupby("src").aggregate(Count()).rename_columns(
-        ["src", "nn"]).materialize()
+        {"count()": "nn"}).materialize()
 
     def rank_group(g: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -630,7 +630,7 @@ def _hits_distributed(
             raw.union(nodes.map_batches(zero_scores, batch_format="pyarrow",
                                         zero_copy_batch=True))
             .groupby("dst").aggregate(Sum("c"))
-            .rename_columns(["dst", "c"]).materialize()
+            .rename_columns({"sum(c)": "c"}).materialize()
         )
         peak = max(int(summed.max("c") or 0), 1)
 

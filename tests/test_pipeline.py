@@ -396,26 +396,73 @@ def test_changed_num_partitions_raises(ray_session, fixture_corpus_dir, tmp_path
 
 
 def test_one_ray_execution_per_run(ray_session, fixture_corpus_dir, tmp_path, monkeypatch):
-    """Staging and extraction are one execution each, however many
-    partitions there are; a resume, which reuses the staging, is one."""
+    """Staging is a run's one Ray Data execution, however many partitions
+    there are; a resume, which reuses the staging, makes none.  Extraction
+    is one Ray task per staged file of every pending partition."""
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
-    executions = []
+    from swift_readability_ray.pipelines import extract_pipeline
+    from swift_readability_ray.state import LineageLog
+
+    executions, tasks = [], []
     execute = StreamingExecutor.execute
 
     def counted(self, *args, **kwargs):
         executions.append(1)
         return execute(self, *args, **kwargs)
 
+    remote_fn = extract_pipeline._extract_staged_file
+
+    class CountedTask:
+        def remote(self, src, *args):
+            tasks.append(os.path.relpath(src, os.path.dirname(os.path.dirname(src))))
+            return remote_fn.remote(src, *args)
+
+    def staged_files(out, parts):
+        """``part=<k>/<name>`` of every file staged for ``parts``: the
+        committed partitions keep the staged file names."""
+        return sorted(os.path.relpath(f, out) for p in parts
+                      for f in glob.glob(os.path.join(out, f"part={p}", "*.parquet")))
+
     monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    monkeypatch.setattr(extract_pipeline, "_extract_staged_file", CountedTask())
     inp = os.path.join(fixture_corpus_dir, "documents.parquet")
     out = str(tmp_path / "out8")
     _crash(inp, out, 8, after=4)
-    assert len(executions) == 2
+    assert len(executions) == 1
+    crash_tasks, tasks[:] = sorted(tasks), []
+    pending = set(range(8)) - LineageLog(out).completed_partitions()
     _run(inp, out, 8)
-    assert len(executions) == 3
-    _run(inp, str(tmp_path / "out16"), 16)
-    assert len(executions) == 5
+    assert len(executions) == 1
+    assert sorted(tasks) == staged_files(out, pending)
+    assert crash_tasks == staged_files(out, range(8))
+    tasks.clear()
+    out16 = str(tmp_path / "out16")
+    _run(inp, out16, 16)
+    assert len(executions) == 2
+    assert sorted(tasks) == staged_files(out16, range(16))
+
+
+def test_resumable_run_leaves_no_driver_threads(ray_session, fixture_corpus_dir, tmp_path):
+    """An aborted run and its resume leave no thread behind in the calling
+    process.  A half-consumed Ray Data iterator used to leave a prefetcher
+    thread per call, and a leaked thread calling into the core worker after
+    ``ray.shutdown()`` ended the process with status 1."""
+    import threading
+    import time
+
+    inp = os.path.join(fixture_corpus_dir, "documents.parquet")
+    _run(inp, str(tmp_path / "warm"), 2)  # Ray's process-wide threads start once
+    before = set(threading.enumerate())
+    out = str(tmp_path / "out")
+    _crash(inp, out, 8, after=4)
+    _run(inp, out, 8)
+    deadline = time.monotonic() + 5  # threads on their way out may finish
+    while (left := [t.name for t in threading.enumerate() if t not in before]) and (
+        time.monotonic() < deadline
+    ):
+        time.sleep(0.1)
+    assert not left
 
 
 def test_lsh_bucket_pair_cap():

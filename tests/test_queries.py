@@ -135,14 +135,41 @@ def test_query_on_degenerate_tables(entry_mod, degenerate_sf, kind, name):
         full = _run(name)
         assert out.schema.equals(full.schema), (out.schema, full.schema)
     if name in entry_mod.oracle_sql():
-        con = duckdb.connect()
-        for t in TABLES:
-            con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
-                        f"read_parquet('{sf}/{t}.parquet')")
-        ref = con.execute(entry_mod.oracle_sql()[name]).fetchdf()
-        con.close()
-        ok, why = dryrun._compare(dryrun._canon(mine), dryrun._canon(ref))
-        assert ok, why
+        _assert_equals_oracle(entry_mod, sf, name, mine)
+
+
+def _assert_equals_oracle(entry_mod, sf, name, mine):
+    """``mine`` equals ``name``'s oracle over the tables in ``sf``,
+    compared as tools/oracle_dryrun.py does."""
+    dryrun = _dryrun_module()
+    con = duckdb.connect()
+    for t in TABLES:
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                    f"read_parquet('{sf}/{t}.parquet')")
+    ref = con.execute(entry_mod.oracle_sql()[name]).fetchdf()
+    con.close()
+    ok, why = dryrun._compare(dryrun._canon(mine), dryrun._canon(ref))
+    assert ok, why
+
+
+# ops whose distributed path failed on zero rows: it renamed a schema-less
+# Ray aggregate by position, or hash-joined a side without rows
+FORCED_ZERO_ROW_OPS = [
+    "delta_dedup", "dup_ngram_stats", "dup_span_coverage", "gram_novelty",
+    "join_cardinality_audit", "order_backlog_monthly", "simhash_dedup",
+]
+
+
+@pytest.mark.parametrize("name", FORCED_ZERO_ROW_OPS)
+def test_forced_paths_on_zero_row_tables(entry_mod, degenerate_sf, name):
+    """With every gate forced distributed, the op equals its oracle on
+    zero-row tables."""
+    from swift_readability_ray import routing
+
+    sf = degenerate_sf["zero"]
+    with routing.forced():
+        mine = _dryrun_module()._to_df(entry_mod.queries()[name](sf))
+    _assert_equals_oracle(entry_mod, sf, name, mine)
 
 
 def test_orders_by_segment_join_fallback(ray_session):
