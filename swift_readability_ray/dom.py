@@ -155,9 +155,6 @@ _SPECIAL = frozenset(
     "template textarea tfoot th thead title tr track ul wbr xmp".split()
 )
 
-_WS_RE = re.compile(r"\s+")
-
-
 # ---------------------------------------------------------------------------
 # Node classes
 # ---------------------------------------------------------------------------
@@ -1181,5 +1178,9 @@ def clone_node(node: Node) -> Node:
 
 
 def normalize_ws(text: str) -> str:
-    """Collapse all whitespace runs to single spaces and trim."""
-    return _WS_RE.sub(" ", text).strip()
+    """Collapse all whitespace runs to single spaces and trim.
+
+    ``str.split()`` splits on the characters ``re``'s Unicode ``\\s`` matches
+    (both test ``Py_UNICODE_ISSPACE``), so this equals
+    ``re.sub(r"\\s+", " ", text).strip()`` without the regex engine."""
+    return " ".join(text.split())

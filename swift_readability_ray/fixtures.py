@@ -383,6 +383,64 @@ def clutter_page(seed: int) -> str:
     return _doc_shell("", body).replace("__TITLE__", f"Clutter page {seed}")
 
 
+def _chars(rng: random.Random, n: int) -> str:
+    """Seeded words cut to exactly ``n`` characters, no edge spaces and
+    no commas."""
+    s = ""
+    while len(s) < n:
+        s += rng.choice(_WORDS) + " "
+    s = s[:n]
+    return s[:-1] + "x" if s.endswith(" ") else s
+
+
+def _threshold_block(rng: random.Random) -> str:
+    """One block whose fate under conditional cleaning turns on one of
+    the numeric thresholds the clutter blocks do not reach, with the
+    deciding quantity drawn from both sides of it: text density zero,
+    content length 25 (with links), 10 commas, a list share of 0.9 and an
+    embed's content length 75."""
+    def link(n: int) -> str:
+        return f'<a href="/t">{_chars(rng, n)}</a>'
+
+    kind = rng.choice(["density", "short", "commas", "listy", "embed"])
+    if kind == "density":
+        # a form's own text is not in a text-ish tag; one span carries 0-15 %
+        n = rng.randint(80, 240)
+        span = rng.randint(1, n * 15 // 100)
+        html = f"<form>{_chars(rng, n)}<span>{_chars(rng, span)}</span></form>"
+    elif kind == "short":
+        n = rng.randint(16, 30)
+        k = rng.randint(1, 5)
+        cut = rng.randint(4, n - k - 2)
+        html = f"<div><p>{_chars(rng, cut)}</p><p>{_chars(rng, n - cut - k - 1)} {link(k)}</p></div>"
+    elif kind == "commas":
+        commas = rng.randint(8, 12)
+        text = ", ".join(_chars(rng, rng.randint(4, 9)) for _ in range(commas + 1))
+        html = f"<div><p>{text}</p><p>{link(len(text))}</p></div>"
+    elif kind == "listy":
+        items = [rng.randint(10, 40) for _ in range(rng.randint(2, 6))]
+        share = rng.uniform(0.7, 0.97)
+        rest = max(2, round(sum(items) * (1 - share) / share))
+        html = ("<div><ul>" + "".join(f"<li>{link(n)}</li>" for n in items)
+                + f"</ul><p>{_chars(rng, rest)}</p></div>")
+    else:
+        html = ('<form><iframe src="http://ads.fakehost/frame"></iframe>'
+                f"<p>{_chars(rng, rng.randint(62, 88))}</p></form>")
+    return html
+
+
+def threshold_page(seed: int) -> str:
+    """A seeded article like ``clutter_page`` whose extra blocks are
+    ``_threshold_block``s: each sits near one cleaning threshold, so a
+    threshold moved by a few units changes some page's output."""
+    rng = random.Random(f"threshold/{seed}")
+    blocks = [f"<p>{_paragraph(rng, 4)}</p>" for _ in range(3)]
+    for _ in range(rng.randint(3, 8)):
+        blocks.insert(rng.randint(0, len(blocks)), _threshold_block(rng))
+    body = _JUNK + '<div class="article-content">' + "".join(blocks) + "</div>"
+    return _doc_shell("", body).replace("__TITLE__", f"Threshold page {seed}")
+
+
 def corpus_to_tables(docs: list[dict]):
     """Split fixtures into (input_table, expected_table) pyarrow Tables."""
     import pyarrow as pa

@@ -71,8 +71,13 @@ def comma_segments(text: str) -> int:
     """Number of segments when splitting on the multi-script comma class.
 
     (= comma count + 1; Readability.js scores `split(commas).length`.)
+    Counted per comma character: no list of segments is built.
     """
-    return len(R.COMMAS.split(text))
+    return 1 + sum(map(text.count, _COMMA_CHARS))
+
+
+# the characters of the COMMAS class
+_COMMA_CHARS = tuple(R.COMMAS.pattern[1:-1])
 
 
 def js_word_count(s: str) -> int:

@@ -337,24 +337,32 @@ def _scrubbed(ds: ray.data.Dataset) -> ray.data.Dataset:
     return ray.data.from_arrow_refs(good)
 
 
-def _inner_join(left: ray.data.Dataset, right: ray.data.Dataset,
-                **join_kw) -> ray.data.Dataset:
-    """``left.join(right, join_type="inner", **join_kw)`` that also runs
-    when a side has no rows.  Ray's hash join sends a side's schema to
-    every partition with that side's first block, and a block without
-    rows sends nothing, so such a side leaves partitions schema-less and
-    the join fails ("No match or multiple matches for key field
-    reference").  Each side is ``_scrubbed``, and a side with no rows
-    becomes one all-null row: a null key matches nothing, so the inner
-    join's rows are unchanged."""
-    def side(ds: ray.data.Dataset) -> ray.data.Dataset:
-        mds = _scrubbed(ds)
-        if mds.count():
-            return mds
+def _join(left: ray.data.Dataset, right: ray.data.Dataset,
+          join_type: str = "inner", **join_kw) -> ray.data.Dataset:
+    """``left.join(right, join_type=join_type, **join_kw)`` for an inner,
+    ``left_outer`` or ``left_anti`` join that also runs when a side has no
+    rows.  Ray's hash join sends a side's schema to every partition with
+    that side's first block, and a block without rows sends nothing, so
+    such a side leaves partitions schema-less and the join fails ("No
+    match or multiple matches for key field reference").  Each side is
+    ``_scrubbed``.  A side with no rows that the result keeps nothing of
+    (either side of an inner join, the right side of a left join) becomes
+    one all-null row: a null key matches nothing, so the join's rows are
+    unchanged.  A left join with no left rows has none: its result is the
+    join's typed empty table."""
+    def sentinel(ds: ray.data.Dataset) -> ray.data.Dataset:
         return ray.data.from_arrow(pa.table(
             {f.name: pa.nulls(1, f.type) for f in _empty_of(ds).schema}))
 
-    return side(left).join(side(right), join_type="inner", **join_kw)
+    lhs, rhs = _scrubbed(left), _scrubbed(right)
+    if not rhs.count():
+        rhs = sentinel(rhs)
+    if not lhs.count():
+        if join_type != "inner":
+            return ray.data.from_arrow(_empty_of(
+                lhs.join(rhs, join_type=join_type, **join_kw)))
+        lhs = sentinel(lhs)
+    return lhs.join(rhs, join_type=join_type, **join_kw)
 
 
 def _materialize(src: ray.data.Dataset, fn) -> ray.data.Dataset:
@@ -813,9 +821,9 @@ def orders_by_segment(sf_dir: str) -> pa.Table:
     n_cust = customers.count()
     if R.route("orders_by_segment.customers", n_cust) == "distributed":
         n_cpus = int(ray.cluster_resources().get("CPU", 8))
-        tagged = orders.join(
+        tagged = _join(
+            orders,
             customers,
-            join_type="inner",
             num_partitions=max(2, n_cpus),
             on=("o_custkey",),
             right_on=("c_custkey",),
@@ -2270,7 +2278,7 @@ def dup_ngram_stats(sf_dir: str, n: int = 8) -> pa.Table:
             keep_dup, batch_format="pyarrow", zero_copy_batch=True
         )
     else:
-        dup_rows = _inner_join(
+        dup_rows = _join(
             gram_rows, dup_keys,
             num_partitions=D._default_join_partitions(gram_rows), on=("gram_h",),
         )
@@ -2579,7 +2587,7 @@ def dup_span_coverage(sf_dir: str, n: int = 8) -> pa.Table:
             .filter(expr="cnt_total >= 2")
             .select_columns(["gram_h"])
         )
-        dup_starts = _inner_join(
+        dup_starts = _join(
             rows.filter(expr="is_gram == 1"), dup_keys,
             num_partitions=D._default_join_partitions(rows), on=("gram_h",),
         ).select_columns(["doc_id", "pos", "n_tokens", "is_gram"])
@@ -2930,7 +2938,7 @@ def delta_dedup(sf_dir: str, new_mod: int = 10, new_rem: int = 0) -> pa.Table:
             .rename_columns({"max(is_corpus)": "is_corpus",
                              "min(first_doc)": "first_doc"})
         )
-        joined = _inner_join(
+        joined = _join(
             new_rows, rhs,
             num_partitions=D._default_join_partitions(keyed),
             on=("digest",),
@@ -4455,9 +4463,10 @@ def customers_without_orders(
     )
     from ray.data.aggregate import Count
 
-    left = customers.join(
+    left = _join(
+        customers,
         okeys.groupby("o_custkey").aggregate(Count()).select_columns(["o_custkey"]),
-        join_type="left_anti",
+        "left_anti",
         num_partitions=D._default_join_partitions(customers),
         on=("c_custkey",), right_on=("o_custkey",),
     )
@@ -4682,18 +4691,14 @@ def q3_top_orders(
                 pc.less(batch.column("o_orderdate"), pa.scalar(cutoff_us))
             )
 
-        ords = (
+        ords = _join(
             orders.map_batches(
                 date_filter, batch_format="pyarrow", zero_copy_batch=True
-            )
-            .join(
-                cust_filtered, join_type="inner",
-                num_partitions=D._default_join_partitions(orders),
-                on=("o_custkey",), right_on=("c_custkey",),
-            )
-            .select_columns(["o_orderkey", "o_orderdate"])
-            .materialize()
-        )
+            ),
+            cust_filtered,
+            num_partitions=D._default_join_partitions(orders),
+            on=("o_custkey",), right_on=("c_custkey",),
+        ).select_columns(["o_orderkey", "o_orderdate"]).materialize()
 
     lineitem = _read_sized(
         f"{sf_dir}/lineitem.parquet",
@@ -4745,10 +4750,11 @@ def q3_top_orders(
             lineitem, join_and_partial, ["o_orderkey", "o_orderdate_us"],
             [("rev_c4_sum", "sum")])
     else:
-        joined = lineitem.map_batches(
-            rev_partial, batch_format="pyarrow", zero_copy_batch=True
-        ).join(
-            ords, join_type="inner",
+        joined = _join(
+            lineitem.map_batches(
+                rev_partial, batch_format="pyarrow", zero_copy_batch=True
+            ),
+            ords,
             num_partitions=D._default_join_partitions(lineitem), on=("o_orderkey",),
         ).map_batches(
             lambda b: b.append_column(
@@ -12779,7 +12785,7 @@ def gram_novelty(sf_dir: str, n: int = 8) -> pa.Table:
         flagged = gram_rows.map_batches(
             flag, batch_format="pyarrow", zero_copy_batch=True)
     else:
-        joined = _inner_join(
+        joined = _join(
             gram_rows, first_ds,
             num_partitions=D._default_join_partitions(gram_rows),
             on=("gram_h",),
@@ -13492,7 +13498,7 @@ def order_backlog_monthly(sf_dir: str) -> pa.Table:
         .groupby("o_orderkey").aggregate(Max("done_us"))
         .rename_columns({"max(done_us)": "done_us"})
     )
-    joined = _inner_join(
+    joined = _join(
         comp_ds, ords,
         num_partitions=D._default_join_partitions(comp_ds),
         on=("o_orderkey",),
@@ -14220,7 +14226,7 @@ def join_cardinality_audit(sf_dir: str) -> pa.Table:
 
     n1, ndv1 = totals(oc)
     n2, ndv2 = totals(lc)
-    joined = _inner_join(
+    joined = _join(
         oc,
         lc.map_batches(
             lambda b: pa.table({"k": b.column("k"), "n2": b.column("n")}),

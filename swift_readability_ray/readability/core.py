@@ -24,6 +24,7 @@ from time import perf_counter as _now
 from .. import regexps as R
 from ..dom import Comment, Document, Element, Node, TextNode, clone_node, parse
 from ..functions.kernels import (
+    comma_segments,
     get_inner_text,
     get_link_density,
     resolve_url,
@@ -35,6 +36,12 @@ from .readerable import is_probably_readerable
 FLAG_STRIP_UNLIKELYS = 0x1
 FLAG_WEIGHT_CLASSES = 0x2
 FLAG_CLEAN_CONDITIONALLY = 0x4
+# the order grab retries drop them in (Readability.js _grabArticle)
+_FLAG_ORDER = (FLAG_STRIP_UNLIKELYS, FLAG_WEIGHT_CLASSES, FLAG_CLEAN_CONDITIONALLY)
+
+_HEADING_TAGS = frozenset(("h1", "h2", "h3", "h4", "h5", "h6"))
+# the tags _should_clean_conditionally's text density sums over
+_TEXTISH_TAGS = frozenset(("span", "li", "td")) | R.DIV_TO_P_ELEMS
 
 
 @dataclass(frozen=True)
@@ -116,6 +123,8 @@ class Extractor:
             else rx("videos", R.VIDEOS)
         )
         self._flags = FLAG_STRIP_UNLIKELYS | FLAG_WEIGHT_CLASSES | FLAG_CLEAN_CONDITIONALLY
+        # the active flags that changed a decision in the running grab attempt
+        self._effects = 0
         self._article_title: str | None = None
         self._article_byline: str | None = None
         self._article_dir: str | None = None
@@ -124,7 +133,8 @@ class Extractor:
         self._metadata: dict = {}
         self.doc: Document | None = None
         # work counter for the metrics contract (north rule: candidates
-        # scored per partition); accumulates across grab-retry attempts
+        # scored per partition); accumulates over the grab attempts that
+        # ran (an attempt skipped as a repeat of the last one scores none)
         self.candidates_scored = 0
         # per-phase wall seconds, mirroring the reference's TimingSink
         # labels (Timing.swift / Readability.swift:141-175); None disables
@@ -145,8 +155,22 @@ class Extractor:
     def _flag_is_active(self, flag: int) -> bool:
         return (self._flags & flag) > 0
 
-    def _remove_flag(self, flag: int) -> None:
-        self._flags &= ~flag
+    def _next_flags(self, same_start: bool) -> int | None:
+        """The flags of the grab attempt after a failed one, or None when
+        every flag is spent.  Flags drop in the reference order.  When the
+        next attempt would start from the state the failed one started from
+        (``same_start``), a flag that changed none of its decisions (not in
+        ``self._effects``) is dropped without running the attempt it would
+        start: that attempt would repeat the failed one decision for
+        decision, so it would fail too and its article would lose every
+        tie to the earlier one in the final pick."""
+        flags = self._flags
+        for flag in _FLAG_ORDER:
+            if flags & flag:
+                flags &= ~flag
+                if not same_start or self._effects & flag:
+                    return flags
+        return None
 
     # -------------------------------------------------------------- traversal
     @staticmethod
@@ -330,6 +354,8 @@ class Extractor:
                 weight -= 25
             if self._rx_positive.search(eid):
                 weight += 25
+        if weight:
+            self._effects |= FLAG_WEIGHT_CLASSES
         return weight
 
     def _initialize_node(self, node: Element) -> None:
@@ -349,14 +375,14 @@ class Extractor:
     def _get_char_count(self, e: Element, s: str = ",") -> int:
         return get_inner_text(e).count(s)
 
-    def _get_text_density(self, e: Element, tags) -> float:
+    @staticmethod
+    def _get_text_density(e: Element, descendants: list[Element]) -> float:
+        """Text share of ``descendants``, ``e``'s descendants with the
+        tags the density is over (nested ones count again, as upstream)."""
         text_length = len(get_inner_text(e, True))
         if text_length == 0:
             return 0.0
-        children_length = sum(
-            len(get_inner_text(child, True)) for child in e.get_all_nodes_with_tag(tags)
-        )
-        return children_length / text_length
+        return sum(len(get_inner_text(child, True)) for child in descendants) / text_length
 
     # ========================================================= Phase C: prep
     def _unwrap_noscript_images(self, doc: Document) -> None:
@@ -485,6 +511,36 @@ class Extractor:
             self._set_node_tag(font, "span")
 
     # ==================================================== Phases D-F: grab
+    @staticmethod
+    def _elements_outside(doc: Document, page: Element) -> set[Element]:
+        """Every element of ``doc`` outside ``page`` and its subtree."""
+        out: set[Element] = set()
+        stack: list[Element] = [doc]
+        while stack:
+            for c in stack.pop().child_nodes:
+                if isinstance(c, Element) and c is not page:
+                    out.add(c)
+                    stack.append(c)
+        return out
+
+    @staticmethod
+    def _outside_state(page: Element) -> list:
+        """What restoring ``page``'s children leaves as it is: the child
+        list of each ancestor of ``page`` and the cache version of each of
+        their other element children (every edit in a subtree advances
+        it).  Compared with ``==``, which is identity for nodes."""
+        state: list = []
+        node = page
+        while node.parent is not None:
+            parent = node.parent
+            state.append(parent)
+            for c in parent.child_nodes:
+                state.append(c)
+                if c is not node and isinstance(c, Element):
+                    state.append(c._ver)
+            node = parent
+        return state
+
     def _grab_article(self, doc: Document) -> Element | None:
         page = doc.body
         if page is None:
@@ -495,7 +551,28 @@ class Extractor:
         # unscored tree) at ~1/4 the cost — no tokenizer pass per attempt
         page_cache_nodes = [clone_node(c) for c in page.child_nodes]
 
+        # Retries skip every attempt that would repeat the failed one
+        # decision for decision (``_next_flags``).  That holds only when the
+        # next attempt starts from the state the failed one started from,
+        # and the restore below resets the body's children only.  So the
+        # failed attempt must have left alone the byline, everything outside
+        # the body, and the body element itself: its parent and whether it
+        # carries a score.  The score is a Readability.js quirk:
+        # ``body.readability`` survives ``page.innerHTML = cache``, so an
+        # attempt that scores the body is never repeated by the next one
+        # (that one finds the body scored and leaves it out of its
+        # candidates).  Once anything outside the body changes or is scored,
+        # every later attempt runs, as upstream.
+        outside = self._elements_outside(doc, page)
+        outside_pristine = True
+
         while True:
+            byline_before = self._article_byline
+            body_scored_before = page.readability is not None
+            outside_before = self._outside_state(page)
+            scored_outside = False
+            self._effects = 0
+
             _t_prep = _now()
             strip_unlikely_candidates = self._flag_is_active(FLAG_STRIP_UNLIKELYS)
 
@@ -553,10 +630,12 @@ class Extractor:
                         and node.tag != "body"
                         and node.tag != "a"
                     ):
+                        self._effects |= FLAG_STRIP_UNLIKELYS
                         node = self._remove_and_get_next(node)
                         continue
 
                     if (node.get_attribute("role") or "") in R.UNLIKELY_ROLES:
+                        self._effects |= FLAG_STRIP_UNLIKELYS
                         node = self._remove_and_get_next(node)
                         continue
 
@@ -621,7 +700,7 @@ class Extractor:
 
                 content_score = 0.0
                 content_score += 1
-                content_score += len(R.COMMAS.split(inner_text))
+                content_score += comma_segments(inner_text)
                 content_score += min(len(inner_text) // 100, 3)
                 self.candidates_scored += 1
 
@@ -638,6 +717,8 @@ class Extractor:
                     if ancestor.readability is None:
                         self._initialize_node(ancestor)
                         candidates.append(ancestor)
+                        if ancestor in outside:
+                            scored_outside = True
                     if level == 0:
                         score_divider = 1
                     elif level == 1:
@@ -812,13 +893,20 @@ class Extractor:
                 for c in page_cache_nodes:
                     page.append_child(clone_node(c))
                 self._attempts.append((article_content, text_length))
-                if self._flag_is_active(FLAG_STRIP_UNLIKELYS):
-                    self._remove_flag(FLAG_STRIP_UNLIKELYS)
-                elif self._flag_is_active(FLAG_WEIGHT_CLASSES):
-                    self._remove_flag(FLAG_WEIGHT_CLASSES)
-                elif self._flag_is_active(FLAG_CLEAN_CONDITIONALLY):
-                    self._remove_flag(FLAG_CLEAN_CONDITIONALLY)
+                outside_pristine = (
+                    outside_pristine
+                    and not scored_outside
+                    and self._outside_state(page) == outside_before
+                )
+                flags = self._next_flags(
+                    outside_pristine
+                    and self._article_byline == byline_before
+                    and (page.readability is not None) == body_scored_before
+                )
+                if flags is not None:
+                    self._flags = flags
                 else:
+                    # dir below comes from the last attempt that ran
                     self._attempts.sort(key=lambda a: -a[1])
                     if not self._attempts[0][1]:
                         return None
@@ -840,26 +928,64 @@ class Extractor:
 
     # ====================================================== Phase G: prep
     def _prep_article(self, article_content: Element, doc: Document) -> None:
-        # One tag census up front: the per-tag walks below are skipped for
-        # tags the article lacks.  Exact, because up to the last of them this
-        # method creates only img elements (lazy images); the h2, p and div
-        # it makes come later.
-        present = {el.tag for el in article_content.get_elements_by_tag_name("*")}
+        # One census walk: the article's elements by tag, in document order.
+        # Each step below takes its tags' lists, cut to the elements still
+        # under the article, instead of walking the article again.  Exact,
+        # because between the census and each use this method creates only
+        # img elements (lazy images) and h2 (the h1 loop), and no later step
+        # reads those tags (the share filter walks the tree itself).
+        elements = article_content.get_elements_by_tag_name("*")
+        by_tag: dict[str, list[Element]] = {}
+        for el in elements:
+            lst = by_tag.get(el.tag)
+            if lst is None:
+                by_tag[el.tag] = [el]
+            else:
+                lst.append(el)
+        # the article's version while nothing has left it since the census
+        intact = article_content._ver
+
+        def live(*tags: str) -> list[Element]:
+            """The census elements with ``tags`` still under the article."""
+            present = [t for t in tags if t in by_tag]
+            if not present:
+                return []
+            if len(present) == 1:
+                nodes = by_tag[present[0]]
+            else:
+                wanted = frozenset(present)
+                nodes = [e for e in elements if e.tag in wanted]
+            if article_content._ver == intact:
+                return nodes
+            out = []
+            for n in nodes:
+                p = n.parent
+                while p is not None and p is not article_content:
+                    p = p.parent
+                if p is not None:
+                    out.append(n)
+            return out
 
         def clean(*tags: str) -> None:
             for tag in tags:
-                if tag in present:
-                    self._clean(article_content, tag)
+                self._clean(live(tag), tag)
 
         def clean_conditionally(*tags: str) -> None:
             for tag in tags:
-                if tag in present:
-                    self._clean_conditionally(article_content, tag)
+                self._clean_conditionally(live(tag), tag)
 
-        self._clean_styles(article_content)
-        if "table" in present:
-            self._mark_data_tables(article_content)
-        self._fix_lazy_images(article_content, doc)
+        if "svg" in by_tag:
+            in_svg = set()
+            for svg in by_tag["svg"]:
+                in_svg.add(svg)
+                in_svg.update(svg.get_elements_by_tag_name("*"))
+            self._clean_styles(e for e in elements if e not in in_svg)
+        else:
+            self._clean_styles(elements)
+        self._mark_data_tables(live("table"))
+        self._fix_lazy_images(live("img", "picture", "figure"), doc)
+        # lazy images only add img elements: nothing has left the article
+        intact = article_content._ver
 
         clean_conditionally("form", "fieldset")
         clean("object", "embed", "footer", "link", "aside")
@@ -873,26 +999,26 @@ class Extractor:
             )
 
         clean("iframe", "input", "textarea", "select", "button")
-        self._clean_headers(article_content)
+        self._clean_headers(live("h1", "h2"))
 
         clean_conditionally("table", "ul", "div")
 
-        for h1 in list(article_content.get_elements_by_tag_name("h1")):
+        for h1 in live("h1"):
             self._set_node_tag(h1, "h2")
 
-        for paragraph in list(article_content.get_elements_by_tag_name("p")):
+        for paragraph in live("p"):
             # the cached text test first: most paragraphs have text
             if not get_inner_text(paragraph, False) and not paragraph.get_all_nodes_with_tag(
                 ["img", "embed", "object", "iframe"]
             ):
                 paragraph.remove()
 
-        for br in list(article_content.get_elements_by_tag_name("br")):
+        for br in live("br"):
             nxt = self._next_node_skip_ws(br.next_sibling)
             if isinstance(nxt, Element) and nxt.tag == "p":
                 br.remove()
 
-        for table in list(article_content.get_elements_by_tag_name("table")):
+        for table in live("table"):
             tbody = (
                 table.first_element_child
                 if self._has_single_tag_inside_element(table, "tbody")
@@ -913,18 +1039,14 @@ class Extractor:
                         table.parent.replace_child(cell, table)
 
     @staticmethod
-    def _clean_styles(root: Element) -> None:
-        # removes only the attributes an element has; svg subtrees are kept
-        stack = [root]
-        while stack:
-            e = stack.pop()
-            if e.tag == "svg":
-                continue
+    def _clean_styles(elements) -> None:
+        # removes only the attributes an element has (svg subtrees are
+        # left out by the caller)
+        for e in elements:
             sized = e.tag in R.DEPRECATED_SIZE_ATTRIBUTE_ELEMS
             for attr in [a for a in e.attrs if a in R.PRESENTATIONAL_ATTRIBUTES
                          or (sized and a in ("width", "height"))]:
                 e.remove_attribute(attr)
-            stack.extend(e.children)
 
     @staticmethod
     def _get_row_and_column_count(table: Element) -> tuple[int, int]:
@@ -948,8 +1070,8 @@ class Extractor:
             columns = max(columns, columns_in_row)
         return rows, columns
 
-    def _mark_data_tables(self, root: Element) -> None:
-        for table in root.get_elements_by_tag_name("table"):
+    def _mark_data_tables(self, tables: list[Element]) -> None:
+        for table in tables:
             if table.get_attribute("role") == "presentation":
                 table.readability_data_table = False
                 continue
@@ -981,8 +1103,9 @@ class Extractor:
                 continue
             table.readability_data_table = rows * columns > 10
 
-    def _fix_lazy_images(self, root: Element, doc: Document) -> None:
-        for elem in root.get_all_nodes_with_tag(["img", "picture", "figure"]):
+    def _fix_lazy_images(self, elems: list[Element], doc: Document) -> None:
+        # ``elems``: the article's img, picture and figure elements
+        for elem in elems:
             src = elem.get_attribute("src") or ""
             if src and R.B64_DATA_URL.match(src):
                 parts = R.B64_DATA_URL.match(src)
@@ -1025,11 +1148,12 @@ class Extractor:
                         img.set_attribute(copy_to, value)
                         elem.append_child(img)
 
-    def _clean(self, e: Element, tag: str) -> None:
+    def _clean(self, elements: list[Element], tag: str) -> None:
+        # ``elements``: the article's ``tag`` elements in document order.
+        # Backwards, so a node is removed after its descendants and every
+        # node not yet visited is still in the article.
         is_embed = tag in ("object", "embed", "iframe")
-        for element in reversed(e.get_elements_by_tag_name(tag)):
-            if element.parent is None:
-                continue
+        for element in reversed(elements):
             if is_embed:
                 spared = any(
                     self._allowed_video_regex.search(v) for v in element.attrs.values()
@@ -1051,24 +1175,24 @@ class Extractor:
             else:
                 nxt = self._get_next_node(nxt)
 
-    def _clean_headers(self, e: Element) -> None:
-        for node in reversed(e.get_all_nodes_with_tag(["h1", "h2"])):
-            if node.parent is None:
-                continue
+    def _clean_headers(self, headers: list[Element]) -> None:
+        # ``headers``: the article's h1 and h2 elements, in document order
+        for node in reversed(headers):
             if self._get_class_weight(node) < 0:
                 node.remove()
 
-    def _clean_conditionally(self, e: Element, tag: str) -> None:
+    def _clean_conditionally(self, nodes: list[Element], tag: str) -> None:
+        # ``nodes``: the article's ``tag`` elements in document order,
+        # visited backwards as in _clean
         if not self._flag_is_active(FLAG_CLEAN_CONDITIONALLY):
             return
 
         def is_data_table(t: Element) -> bool:
             return bool(t.readability_data_table)
 
-        for node in reversed(e.get_elements_by_tag_name(tag)):
-            if node.parent is None:
-                continue
+        for node in reversed(nodes):
             if self._should_clean_conditionally(node, tag, is_data_table):
+                self._effects |= FLAG_CLEAN_CONDITIONALLY
                 node.remove()
 
     def _should_clean_conditionally(self, node: Element, tag: str, is_data_table) -> bool:
@@ -1077,12 +1201,18 @@ class Extractor:
         embeds: list[Element] = []
         tables: list[Element] = []
         lists: list[Element] = []
+        headings: list[Element] = []
+        textish: list[Element] = []
         stack = list(reversed(node.child_nodes))
         while stack:
             n = stack.pop()
             if isinstance(n, Element):
                 t = n.tag
                 tag_counts[t] = tag_counts.get(t, 0) + 1
+                if t in _TEXTISH_TAGS:
+                    textish.append(n)
+                elif t in _HEADING_TAGS:
+                    headings.append(n)
                 if t in ("object", "embed", "iframe"):
                     embeds.append(n)
                 elif t == "table":
@@ -1116,9 +1246,7 @@ class Extractor:
             img = tag_counts.get("img", 0)
             li = tag_counts.get("li", 0) - 100
             input_count = tag_counts.get("input", 0)
-            heading_density = self._get_text_density(
-                node, ["h1", "h2", "h3", "h4", "h5", "h6"]
-            )
+            heading_density = self._get_text_density(node, headings)
 
             embed_count = 0
             for embed in embeds:
@@ -1137,8 +1265,7 @@ class Extractor:
 
             content_length = len(inner_text)
             link_density = get_link_density(node)
-            textish_tags = ["span", "li", "td"] + list(R.DIV_TO_P_ELEMS)
-            text_density = self._get_text_density(node, textish_tags)
+            text_density = self._get_text_density(node, textish)
             is_figure_child = self._has_ancestor_tag(node, "figure")
 
             def should_remove_node() -> bool:

@@ -36,7 +36,8 @@ OUT = pa.schema(
         ("length", pa.int32()),
         ("readerable", pa.bool_()),
         ("error", pa.string()),             # null on success
-        ("n_candidates", pa.int32()),       # work counter: elements scored
+        ("n_candidates", pa.int32()),       # work counter: elements scored by
+                                            # the grab attempts that ran
         ("input_bytes", pa.int32()),        # reassembled HTML size
         ("wall_us", pa.int64()),            # per-row extraction wall time
     ]

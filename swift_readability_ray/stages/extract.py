@@ -9,7 +9,9 @@ shared by every task that lands there; per-row failures are captured in the
 ``error`` column instead of failing the batch (ArticleGrabber-style
 robustness, SURVEY.md §4.2).  Work counters ride the OUT rows
 (``n_candidates``, ``input_bytes``, ``wall_us``), so metrics come from data
-columns alone.
+columns alone; ``n_candidates`` counts the elements scored by the grab
+attempts that ran (a retry attempt skipped as a repeat of the failed one
+scores none).
 
 Usage::
 

@@ -448,3 +448,28 @@ def test_unlisted_node_has_no_siblings():
     assert stray.next_sibling is None and stray.previous_sibling is None
     assert stray.next_element_sibling is None and stray.previous_element_sibling is None
     assert a.next_sibling is b and b.previous_sibling is a
+
+
+def _normalize_ws_re(text: str) -> str:
+    import re
+
+    return re.sub(r"\s+", " ", text).strip()
+
+
+def test_normalize_ws_equals_regex_form_for_every_code_point():
+    from swift_readability_ray.dom import normalize_ws
+
+    for cp in range(0x110000):
+        c = chr(cp)
+        for s in ("a" + c + "b", c + c, " " + c, c + "x" + c):
+            assert normalize_ws(s) == _normalize_ws_re(s), hex(cp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from(
+    list(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u200a\u200b"
+         "\u2028\u2029\u202f\u205f\u3000\ufeffab,\u00e9"))) | st.text())
+def test_normalize_ws_equals_regex_form(s):
+    from swift_readability_ray.dom import normalize_ws
+
+    assert normalize_ws(s) == _normalize_ws_re(s)

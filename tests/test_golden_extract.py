@@ -1,14 +1,15 @@
 """Golden extraction net: per-document digests of the full extraction output.
 
 Every input is generated from a seed inside the repo, so the net needs no
-reference corpus.  One digest covers what a row of the extraction stage
-carries: content HTML, text content, title, byline, excerpt, dir, lang,
-site name, published time, readerable, the error, ``n_candidates`` and the
-emitted span sequence.  A change to the DOM or to the Readability phases
-that is meant to keep results must leave every digest unchanged.
+reference corpus.  Each document has one digest per field of an
+extraction row: content HTML, text content, title, byline, excerpt, dir,
+lang, site name, published time, readerable, the error, ``n_candidates``
+and the emitted span sequence.  A change to the DOM or to the Readability
+phases that is meant to keep results must leave every digest unchanged.
 
 Regenerate the golden file (only for a change that is meant to alter
-results, and say so in the change)::
+results, and say so in the change); it prints, per field, how many
+documents changed::
 
     python tests/test_golden_extract.py --write
 """
@@ -69,16 +70,19 @@ def golden_inputs() -> list[tuple[str, list[dict]]]:
              for n in (20_000, 80_000, 240_000)]
     docs += [_text_doc(f"flat-{n}", fixtures.flat_page(n)) for n in (2_000, 8_000)]
     docs += [_text_doc(f"clutter-{i}", fixtures.clutter_page(i)) for i in range(300)]
+    docs += [_text_doc(f"threshold-{i}", fixtures.threshold_page(i)) for i in range(100)]
     docs += _joined_pages(5, 12)
     return docs
 
 
-def digest_row(row: dict) -> str:
-    payload = json.dumps({k: row[k] for k in _FIELDS}, sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+def digest_row(row: dict) -> dict[str, str]:
+    """One short digest per field of ``row``."""
+    return {k: hashlib.sha256(json.dumps(row[k], sort_keys=True, ensure_ascii=False)
+                              .encode("utf-8")).hexdigest()[:16]
+            for k in _FIELDS}
 
 
-def compute_digests() -> dict[str, str]:
+def compute_digests() -> dict[str, dict[str, str]]:
     from swift_readability_ray.stages.extract import ReadabilityExtractor
 
     ex = ReadabilityExtractor(base_url=BASE_URL)
@@ -86,17 +90,27 @@ def compute_digests() -> dict[str, str]:
             for doc_id, spans in golden_inputs()}
 
 
-def _read_golden() -> dict[str, str]:
+def _read_golden() -> dict[str, dict[str, str]]:
+    """``{doc_id: {field: digest}}``; the first line names the fields."""
     with open(GOLDEN) as f:
-        return dict(line.split() for line in f if line.strip())
+        header, *lines = [line.split() for line in f if line.strip()]
+    fields = header[1:]
+    return {doc_id: dict(zip(fields, digests)) for doc_id, *digests in lines}
+
+
+def changed_by_field(want: dict, got: dict) -> dict[str, list[str]]:
+    """For each field, the documents present in both whose digest differs."""
+    return {f: [d for d in want if d in got and want[d].get(f) != got[d][f]]
+            for f in _FIELDS}
 
 
 def test_extraction_matches_golden_digests():
     want = _read_golden()
     got = compute_digests()
     assert sorted(got) == sorted(want), "golden document set changed"
-    changed = [k for k in want if got[k] != want[k]]
-    assert not changed, f"{len(changed)} documents changed, first: {changed[:10]}"
+    changed = {f: docs for f, docs in changed_by_field(want, got).items() if docs}
+    assert not changed, "changed documents per field: " + ", ".join(
+        f"{f}: {len(docs)} (first {docs[:5]})" for f, docs in changed.items())
 
 
 if __name__ == "__main__":
@@ -104,7 +118,15 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/test_golden_extract.py --write")
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     digests = compute_digests()
+    if os.path.exists(GOLDEN):
+        old = _read_golden()
+        for field, docs in changed_by_field(old, digests).items():
+            print(f"{field}: {len(docs)} documents changed")
+        print(f"documents added: {len(set(digests) - set(old))}, "
+              f"removed: {len(set(old) - set(digests))}")
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
     with open(GOLDEN, "w") as f:
-        f.writelines(f"{k} {v}\n" for k, v in digests.items())
-    print(f"wrote {len(digests)} digests to {GOLDEN}")
+        f.write(" ".join(("doc_id",) + _FIELDS) + "\n")
+        f.writelines(" ".join([k] + [v[f] for f in _FIELDS]) + "\n"
+                     for k, v in digests.items())
+    print(f"wrote {len(digests)} documents to {GOLDEN}")

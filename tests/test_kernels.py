@@ -64,6 +64,12 @@ def test_comma_segments():
     assert comma_segments("no commas") == 1
     assert comma_segments("中文，逗号，测试") == 3  # fullwidth comma
     assert comma_segments("a، b") == 2  # Arabic comma
+    # counted per character, it equals the split on the whole COMMAS class
+    from swift_readability_ray import regexps as R
+
+    every = R.COMMAS.pattern[1:-1]
+    for s in (every, "x".join(every), every + every, ",,a" + every[::-1]):
+        assert comma_segments(s) == len(R.COMMAS.split(s))
 
 
 def test_js_word_count():

@@ -155,8 +155,10 @@ def _assert_equals_oracle(entry_mod, sf, name, mine):
 # ops whose distributed path failed on zero rows: it renamed a schema-less
 # Ray aggregate by position, or hash-joined a side without rows
 FORCED_ZERO_ROW_OPS = [
-    "delta_dedup", "dup_ngram_stats", "dup_span_coverage", "gram_novelty",
-    "join_cardinality_audit", "order_backlog_monthly", "simhash_dedup",
+    "customers_without_orders", "delta_dedup", "dup_ngram_stats",
+    "dup_span_coverage", "gram_novelty", "join_cardinality_audit",
+    "order_backlog_monthly", "orders_by_segment", "q3_top_orders",
+    "simhash_dedup",
 ]
 
 
