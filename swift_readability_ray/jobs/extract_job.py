@@ -38,7 +38,8 @@ import time
 
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description="Resumable Readability extraction job")
-    p.add_argument("--input", required=True, help="documents table (Lance/Parquet)")
+    p.add_argument("--input", required=True,
+                   help="documents table (Lance, Parquet, Arrow IPC/Feather, ORC, CSV or JSON-lines)")
     p.add_argument("--output", required=True, help="output directory")
     p.add_argument("--num-partitions", type=int, default=64)
     p.add_argument("--batch-size", type=int, default=32)
@@ -77,21 +78,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _check_input_schema(path: str) -> None:
-    """Fail fast with a readable message on non-DOCUMENTS inputs."""
-    import glob
-    import os
+    """Fail fast with a readable message on non-DOCUMENTS inputs, in any
+    format ``read_documents`` reads: the schema of the input's first piece."""
+    from swift_readability_ray.sources.io import list_pieces, piece_schema
 
-    import pyarrow.parquet as pq
-
-    probe = path
-    if os.path.isdir(path):
-        files = sorted(glob.glob(os.path.join(path, "**", "*.parquet"), recursive=True))
-        if not files:
-            return  # Lance or empty — let the reader report
-        probe = files[0]
-    if not probe.endswith(".parquet"):
-        return
-    names = set(pq.read_schema(probe).names)
+    pieces = list_pieces(path)
+    schema = piece_schema(pieces[0]) if pieces else None
+    if schema is None:
+        return  # empty input — let the reader report
+    names = set(schema.names)
     if not {"doc_id", "spans"} <= names:
         raise SystemExit(
             f"input {path!r} has columns {sorted(names)}; expected the "

@@ -14,16 +14,18 @@ Design points for 100 TB scale:
 - skew: per-row HTML byte size is computed vectorially; oversized rows
   (> ``skew_threshold_bytes``) are extracted one per batch so one 50 MB
   document cannot stall a 4 MB-average batch.
-- resumable: ``run_resumable_extraction`` stages the input once into
-  hash-partitioned shuffle files (one Ray Data execution), then extracts
-  every pending partition's staged files as plain Ray tasks, one per staged
-  file (linear total I/O, no Ray Data execution after staging), into a
-  per-run scratch directory.  The caller takes the tasks' manifests with
-  ``ray.wait`` and commits each partition when its last manifest returns:
-  rename to ``part=<k>``, then an atomic lineage record (state/lineage.py)
-  whose metrics come from the manifests.  An abort cancels the tasks not
-  yet returned.  Restarts skip completed partitions and a completed job
-  writes the METRICS-schema report beside the data.
+- resumable: ``run_resumable_extraction`` runs no Ray Data execution, only
+  plain Ray tasks sized in bytes.  It stages the input once into
+  hash-partitioned shuffle files, one staging task per byte-balanced read
+  unit (``sources.io.read_units``) writing at most one file per bucket, then
+  extracts every pending partition's staged files in byte-balanced groups,
+  one task each (linear total I/O), into a per-run scratch directory.  The
+  caller takes the tasks' manifests with ``ray.wait`` and commits each
+  partition when its last manifest returns: rename to ``part=<k>``, then an
+  atomic lineage record (state/lineage.py) whose metrics come from the
+  manifests.  An abort cancels the tasks not yet returned.  Restarts skip
+  completed partitions and a completed job writes the METRICS-schema report
+  beside the data.
 """
 
 from __future__ import annotations
@@ -39,12 +41,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
-import ray.data
 
+from .. import tasks
 from ..functions.hashing import mix64 as _mix64
 from ..readability.core import ExtractOptions
 from ..schema import OUT
-from ..sources.io import read_documents
+from ..sources.io import byte_groups, read_documents, read_piece, read_units
 from ..stages import extract as _extract
 from ..stages.extract import extract_spans_batch
 from ..state.lineage import LineageLog
@@ -196,20 +198,55 @@ def run_extraction(
     return {"output_path": output_path, "stats": stats}
 
 
+# bytes per task of the resumable write path: one staging task per read unit
+# of about this many input bytes, and one extraction task per group of a
+# partition's staged files of about this many bytes.  Fewer, larger tasks
+# cut the per-task fixed cost and the staged file count (at most one file
+# per staging task per bucket); 128 MiB is Ray Data's default block size.
+_TARGET_BYTES = 128 << 20
+
 # a work item's manifest: its partition and these sums over the rows it wrote
 _MANIFEST_KEYS = ("docs_processed", "docs_failed", "candidates_scored", "bytes_parsed", "wall_us")
 
 
-@ray.remote
-def _extract_staged_file(src: str, dst: str, options, base_url: str, batch_size: int) -> dict:
-    """Ray task over one staged file: streams it in ``batch_size``-row
-    batches through the extractor into the scratch file ``dst`` and returns
-    a manifest counted from the rows written — metrics come from the data,
+def _stage_unit(unit: list[tuple], staging: str, name: str, num_partitions: int) -> None:
+    """Staging task (``tasks.stage_unit``) over one read unit: streams its
+    pieces through ``_with_hash_partition`` and writes each bucket's rows,
+    in input order, to ``staging/part=<k>/<name>`` — one file per bucket
+    the unit reaches."""
+    writers = {}
+    try:
+        for piece in unit:
+            for batch in read_piece(piece, columns=["doc_id", "spans"]):
+                if not batch.num_rows:
+                    continue
+                parts = _with_hash_partition(batch, num_partitions).column("part").to_numpy()
+                order = np.argsort(parts, kind="stable")
+                keys, starts = np.unique(parts[order], return_index=True)
+                rows = batch.take(order)
+                for key, lo, hi in zip(keys, starts, [*starts[1:], len(order)]):
+                    if key not in writers:
+                        os.makedirs(os.path.join(staging, f"part={key}"), exist_ok=True)
+                        writers[key] = pq.ParquetWriter(
+                            os.path.join(staging, f"part={key}", name), rows.schema)
+                    writers[key].write_table(rows.slice(lo, hi - lo))
+    finally:
+        for writer in writers.values():
+            writer.close()
+
+
+def _extract_staged_files(srcs: list[str], dst: str, options, base_url: str,
+                          batch_size: int) -> dict:
+    """Extraction task (``tasks.extract_staged_files``) over a group of one
+    partition's staged files: streams them in ``batch_size``-row batches
+    through the extractor into the scratch file ``dst`` and returns a
+    manifest counted from the rows written — metrics come from the data,
     with no re-read of the output."""
     totals = dict.fromkeys(_MANIFEST_KEYS, 0)
     with pq.ParquetWriter(dst, OUT) as writer:
-        staged = pq.ParquetFile(src)
-        for rb in staged.iter_batches(batch_size, columns=["doc_id", "spans"]):
+        batches = (rb for src in srcs
+                   for rb in pq.ParquetFile(src).iter_batches(batch_size, columns=["doc_id", "spans"]))
+        for rb in batches:
             # looked up per call, so wrappers installed after import apply
             out = _extract.extract_spans_batch(pa.Table.from_batches([rb]),
                                                options=options, base_url=base_url)
@@ -233,18 +270,22 @@ def run_resumable_extraction(
 ) -> dict:
     """Partitioned, resumable run with per-partition lineage commits.
 
-    Two phases, each linear in the input size:
+    Two phases, each linear in the input size and each plain Ray tasks (no
+    Ray Data execution), sized by ``_TARGET_BYTES``:
 
-    1. **Stage** (one full pass, one Ray Data execution): read → append
-       doc_id-hash ``part`` column → write ``out/staging/part=<k>/``.  This
-       is the job's one explicit exchange — the same materialized-shuffle-
-       files pattern every shuffle-service uses — and is itself resumable as
-       a unit (an incomplete staging is discarded and redone).  The staging
-       marker records ``num_partitions``.
-    2. **Extract: Ray tasks, per-partition commit by rename.**  Every staged
-       file of every pending partition is one Ray task, which extracts it
-       into this run's scratch directory ``out/_attempts/<run-id>/part=<k>/``
-       and returns a manifest.  The caller takes manifests with ``ray.wait``
+    1. **Stage** (one full pass): one task per read unit
+       (``sources.io.read_units``) reads it, appends the doc_id-hash ``part``
+       column and writes at most one file per bucket into this run's
+       scratch directory, which is renamed to ``out/staging/`` when every
+       task has returned.  This is the job's one explicit exchange — the
+       same materialized-shuffle-files pattern every shuffle-service uses —
+       and is itself resumable as a unit (an incomplete staging is discarded
+       and redone).  The staging marker records ``num_partitions``.
+    2. **Extract: Ray tasks, per-partition commit by rename.**  Each pending
+       partition's staged files are split into byte-balanced groups, one
+       Ray task each, which extracts its group into this run's scratch
+       directory ``out/_attempts/<run-id>/part=<k>/`` and returns a
+       manifest.  The caller takes manifests with ``ray.wait``
        as tasks finish; when a partition's last manifest returns, it renames
        the partition's scratch directory to ``out/part=<k>/`` and then writes
        an atomic lineage record with the manifests' metrics.  A partition
@@ -255,14 +296,19 @@ def run_resumable_extraction(
        partitions and cleans half-committed orphans.
 
     Filtering the full input once per partition instead would scan the
-    dataset ``num_partitions`` times — quadratic I/O at 100 TB.  The
-    extraction phase is plain tasks because a Ray Data execution there
-    would add no operator, only its start-up and per-block scheduling cost.
-    An output directory keeps the ``num_partitions`` it was started with;
-    another value raises ``ValueError`` (its buckets would differ).
+    dataset ``num_partitions`` times — quadratic I/O at 100 TB.  Both
+    phases are plain tasks because a Ray Data execution would add no
+    operator, only its start-up and per-block scheduling cost, and its
+    write makes one file per read block per bucket.  An output directory
+    keeps the ``num_partitions`` it was started with; another value raises
+    ``ValueError`` (its buckets would differ), as do ``num_partitions`` or
+    ``batch_size`` below 1, before anything is written.
     ``fail_after_partitions`` injects an abort after that many commits, for
     tests.
     """
+    for name, value in (("num_partitions", num_partitions), ("batch_size", batch_size)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, not {value}")
     log = LineageLog(output_path)
     done = log.completed_partitions()
 
@@ -276,23 +322,12 @@ def run_resumable_extraction(
         raise ValueError(f"{output_path!r} was started with num_partitions={sorted(recorded)}, "
                          f"not {num_partitions}; re-run with that or use a new output dir")
     pending = [p for p in range(num_partitions) if p not in done]
-    if pending and not os.path.exists(staging_marker):
-        if done:
-            raise RuntimeError(
-                "staging missing but partitions pending — delete the output "
-                "dir to restart, or restore the staging directory"
-            )
-        shutil.rmtree(staging, ignore_errors=True)  # discard half-written staging
-        ds = read_documents(input_path, columns=["doc_id", "spans"])
-        ds = ds.map_batches(
-            _with_hash_partition,
-            fn_kwargs={"num_partitions": num_partitions},
-            batch_format="pyarrow",
-            zero_copy_batch=True,
+    restage = pending and not os.path.exists(staging_marker)
+    if restage and done:
+        raise RuntimeError(
+            "staging missing but partitions pending — delete the output "
+            "dir to restart, or restore the staging directory"
         )
-        ds.write_parquet(staging, partition_cols=["part"])
-        with open(staging_marker, "w") as f:
-            json.dump({"num_partitions": num_partitions}, f)
 
     attempts = os.path.join(output_path, "_attempts")
     shutil.rmtree(attempts, ignore_errors=True)  # scratch of earlier runs
@@ -310,16 +345,34 @@ def run_resumable_extraction(
 
     refs, part_of = [], {}  # tasks not yet returned; each task's partition
     try:
+        if restage:
+            shutil.rmtree(staging, ignore_errors=True)  # discard half-written staging
+            staged = os.path.join(scratch, "staging")
+            # pieces go as plain tuples: unpickling ``io.Piece`` would import
+            # pyarrow before the task's cancel-safe imports (see tasks.py)
+            refs = [tasks.stage_unit.remote([tuple(p) for p in unit], staged,
+                                            f"unit-{i:06d}.parquet", num_partitions)
+                    for i, unit in enumerate(read_units(input_path, _TARGET_BYTES))]
+            while refs:
+                [ref], refs = ray.wait(refs)
+                ray.get(ref)  # raises a staging task's error
+            os.makedirs(staged, exist_ok=True)  # no read unit had rows
+            os.rename(staged, staging)
+            with open(staging_marker, "w") as f:
+                json.dump({"num_partitions": num_partitions}, f)
+
         for part in pending:
             log.clean_orphan(part)
             os.makedirs(os.path.join(scratch, f"part={part}"))
             files = sorted(glob.glob(os.path.join(staging, f"part={part}", "*.parquet")))
-            left[part], totals[part] = len(files), dict.fromkeys(_MANIFEST_KEYS, 0)
-            for f in files:
-                refs.append(_extract_staged_file.remote(
-                    f, f.replace(staging, scratch, 1), options, base_url, batch_size))
+            groups = byte_groups(files, [os.path.getsize(f) for f in files], _TARGET_BYTES)
+            left[part], totals[part] = len(groups), dict.fromkeys(_MANIFEST_KEYS, 0)
+            for group in groups:
+                dst = os.path.join(scratch, f"part={part}", os.path.basename(group[0]))
+                refs.append(tasks.extract_staged_files.remote(
+                    group, dst, options, base_url, batch_size))
                 part_of[refs[-1]] = part
-            if not files:  # hash bucket got no rows
+            if not groups:  # hash bucket got no rows
                 commit(part)
         while refs:
             [ref], refs = ray.wait(refs)

@@ -256,8 +256,7 @@ def _crash(inp, out, num_partitions, after):
 
 
 def _split_input(src_file, dst_dir, n_files):
-    """The documents as ``n_files`` parquet files, so that every staging
-    task writes its own file into each hash bucket it sees."""
+    """The documents as ``n_files`` parquet files."""
     tbl = pq.read_table(src_file)
     os.makedirs(dst_dir)
     step = -(-tbl.num_rows // n_files)
@@ -299,8 +298,12 @@ def test_manifest_metrics_equal_reread_of_committed_files(
 ):
     """Lineage metrics come from the workers' manifests; they must equal a
     re-read of what each ``part=<k>`` holds, including partitions built from
-    several staged files (2 buckets over 3 input files) and zero-row
-    buckets (more buckets than documents)."""
+    several input files (2 buckets over 3 input files) and zero-row buckets
+    (more buckets than documents).  A partition holds one file per byte
+    group of its staged files, so no more than the input has targets."""
+    import math
+
+    from swift_readability_ray.pipelines.extract_pipeline import _TARGET_BYTES
     from swift_readability_ray.state import LineageLog
 
     inp, tbl = _split_input(
@@ -319,9 +322,9 @@ def test_manifest_metrics_equal_reread_of_committed_files(
         assert {k: r[k] for k in want} == want, r
         assert r["row_count"] == want["docs_processed"]
         assert r["num_partitions"] == num_partitions
-    if num_partitions == 2:  # every bucket got rows from several staging tasks
-        assert min(files_per_part) > 1
-    else:
+    input_bytes = sum(os.path.getsize(f) for f in glob.glob(os.path.join(inp, "*.parquet")))
+    assert max(files_per_part) <= math.ceil(input_bytes / _TARGET_BYTES)
+    if num_partitions == 40:
         empty = [r for r in recs if r["row_count"] == 0]
         assert len(empty) >= num_partitions - tbl.num_rows
         assert all(r["wall_seconds"] == 0 and r["bytes_parsed"] == 0 for r in empty)
@@ -395,13 +398,16 @@ def test_changed_num_partitions_raises(ray_session, fixture_corpus_dir, tmp_path
         _run(inp, out2, 4)
 
 
-def test_one_ray_execution_per_run(ray_session, fixture_corpus_dir, tmp_path, monkeypatch):
-    """Staging is a run's one Ray Data execution, however many partitions
-    there are; a resume, which reuses the staging, makes none.  Extraction
-    is one Ray task per staged file of every pending partition."""
+def test_no_ray_data_execution_per_run(ray_session, fixture_corpus_dir, tmp_path, monkeypatch):
+    """A resumable run, crash or resume, makes no Ray Data execution: staging
+    and extraction are plain Ray tasks.  Extraction is one task per byte
+    group of each pending partition's staged files — one per partition at
+    the default target on this small input."""
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
+    from swift_readability_ray import tasks as ray_tasks
     from swift_readability_ray.pipelines import extract_pipeline
+    from swift_readability_ray.sources.io import byte_groups
     from swift_readability_ray.state import LineageLog
 
     executions, tasks = [], []
@@ -411,36 +417,234 @@ def test_one_ray_execution_per_run(ray_session, fixture_corpus_dir, tmp_path, mo
         executions.append(1)
         return execute(self, *args, **kwargs)
 
-    remote_fn = extract_pipeline._extract_staged_file
+    remote_fn = ray_tasks.extract_staged_files
 
     class CountedTask:
-        def remote(self, src, *args):
-            tasks.append(os.path.relpath(src, os.path.dirname(os.path.dirname(src))))
-            return remote_fn.remote(src, *args)
+        def remote(self, srcs, *args):
+            tasks.append(sorted(os.path.relpath(s, os.path.dirname(os.path.dirname(s)))
+                                for s in srcs))
+            return remote_fn.remote(srcs, *args)
 
-    def staged_files(out, parts):
-        """``part=<k>/<name>`` of every file staged for ``parts``: the
-        committed partitions keep the staged file names."""
-        return sorted(os.path.relpath(f, out) for p in parts
-                      for f in glob.glob(os.path.join(out, f"part={p}", "*.parquet")))
+    def staged_groups(out, parts):
+        """The byte groups of ``staging/part=<k>/*.parquet`` for ``parts``."""
+        groups = []
+        for p in parts:
+            files = sorted(glob.glob(os.path.join(out, "staging", f"part={p}", "*.parquet")))
+            groups += byte_groups([os.path.relpath(f, os.path.join(out, "staging")) for f in files],
+                                  [os.path.getsize(f) for f in files],
+                                  extract_pipeline._TARGET_BYTES)
+        return sorted(groups)
 
     monkeypatch.setattr(StreamingExecutor, "execute", counted)
-    monkeypatch.setattr(extract_pipeline, "_extract_staged_file", CountedTask())
+    monkeypatch.setattr(ray_tasks, "extract_staged_files", CountedTask())
     inp = os.path.join(fixture_corpus_dir, "documents.parquet")
     out = str(tmp_path / "out8")
     _crash(inp, out, 8, after=4)
-    assert len(executions) == 1
-    crash_tasks, tasks[:] = sorted(tasks), []
+    assert not executions
+    assert sorted(tasks) == staged_groups(out, range(8))
+    assert len(tasks) == 8  # one read unit: one staged file per bucket
     pending = set(range(8)) - LineageLog(out).completed_partitions()
+    want = staged_groups(out, pending)
+    tasks.clear()
     _run(inp, out, 8)
-    assert len(executions) == 1
-    assert sorted(tasks) == staged_files(out, pending)
-    assert crash_tasks == staged_files(out, range(8))
+    assert not executions
+    assert sorted(tasks) == want
     tasks.clear()
     out16 = str(tmp_path / "out16")
     _run(inp, out16, 16)
-    assert len(executions) == 2
-    assert sorted(tasks) == staged_files(out16, range(16))
+    assert not executions
+    assert len(tasks) == len(glob.glob(os.path.join(out16, "part=*", "*.parquet"))) <= 16
+
+
+def _extracted_rows(tbl):
+    """OUT rows by doc_id, without the timing column."""
+    rows = tbl.drop_columns(["wall_us"]).to_pylist()
+    return sorted(rows, key=lambda r: r["doc_id"])
+
+
+def _committed_rows(out):
+    files = glob.glob(os.path.join(out, "part=*", "*.parquet"))
+    return _extracted_rows(pq.read_table(files, partitioning=None))
+
+
+def test_staged_files_and_tasks_bounded_by_bytes(ray_session, fixture_corpus_dir, tmp_path,
+                                                 monkeypatch):
+    """Staging runs one task per read unit (row groups of several files) and
+    writes at most one file per unit per bucket; extraction runs one task
+    per byte group of a partition's staged files, which it is handed.  With the target set to an
+    eighth of the input, the staged files per bucket and the tasks per
+    partition both stay within their byte bounds, and the committed rows
+    equal an in-process extraction of the input."""
+    import math
+
+    from swift_readability_ray import tasks as ray_tasks
+    from swift_readability_ray.pipelines import extract_pipeline
+    from swift_readability_ray.sources.io import list_pieces
+    from swift_readability_ray.stages.extract import extract_spans_batch
+
+    tbl = pq.read_table(os.path.join(fixture_corpus_dir, "documents.parquet"))
+    inp = str(tmp_path / "in")
+    os.makedirs(inp)
+    step = -(-tbl.num_rows // 4)
+    for i in range(4):  # 4 files of 3 row groups each
+        pq.write_table(tbl.slice(i * step, step), os.path.join(inp, f"docs-{i}.parquet"),
+                       row_group_size=-(-step // 3))
+    assert len(list_pieces(inp)) >= 8
+    input_bytes = sum(os.path.getsize(f) for f in glob.glob(os.path.join(inp, "*.parquet")))
+    target = input_bytes // 8
+    monkeypatch.setattr(extract_pipeline, "_TARGET_BYTES", target)
+
+    tasks = {}  # partition -> per task, the sizes of its staged files
+    remote_fn = ray_tasks.extract_staged_files
+
+    class CountedTask:
+        def remote(self, srcs, dst, *args):
+            part = os.path.basename(os.path.dirname(dst))
+            tasks.setdefault(part, []).append([os.path.getsize(f) for f in srcs])
+            return remote_fn.remote(srcs, dst, *args)
+
+    monkeypatch.setattr(ray_tasks, "extract_staged_files", CountedTask())
+    out = str(tmp_path / "out")
+    _run(inp, out, 16)
+    per_bucket = [sum(map(len, groups)) for groups in tasks.values()]
+    assert max(per_bucket) <= math.ceil(input_bytes / target)
+    assert max(per_bucket) > 1  # several read units reached one bucket
+    for part, groups in tasks.items():
+        assert len(groups) <= math.ceil(sum(map(sum, groups)) / target), part
+    assert max(map(len, tasks.values())) > 1  # some partition was split into groups
+    assert any(len(groups) < sum(map(len, groups)) for groups in tasks.values())  # some merged
+    want = extract_spans_batch(tbl.select(["doc_id", "spans"]), base_url=BASE_URL)
+    assert _committed_rows(out) == _extracted_rows(want)
+
+
+def _write_formats(tbl, d):
+    """``tbl`` written as feather, ORC, JSON-lines and an ``.arrows``
+    stream; the paths by format name."""
+    import json
+
+    import pyarrow.feather as feather
+    import pyarrow.ipc as ipc
+    import pyarrow.orc as orc
+
+    os.makedirs(d)
+    paths = {ext: os.path.join(d, f"docs.{ext}") for ext in ("feather", "orc", "jsonl", "arrows")}
+    feather.write_feather(tbl, paths["feather"])
+    orc.write_table(tbl, paths["orc"])
+    with open(paths["jsonl"], "w") as f:
+        for row in tbl.to_pylist():
+            f.write(json.dumps(row) + "\n")
+    with ipc.new_stream(paths["arrows"], tbl.schema) as w:
+        for rb in tbl.to_batches(max_chunksize=5):
+            w.write_batch(rb)
+    return paths
+
+
+def test_staging_reads_every_format(ray_session, fixture_corpus_dir, tmp_path):
+    """The staging tasks read every format ``read_documents`` reads: the
+    fixture corpus staged from feather, ORC, JSON-lines and an Arrow stream
+    commits the same rows as staged from parquet."""
+    src = os.path.join(fixture_corpus_dir, "documents.parquet")
+    paths = _write_formats(pq.read_table(src), str(tmp_path / "in"))
+    _run(src, str(tmp_path / "parquet"), 4)
+    want = _committed_rows(str(tmp_path / "parquet"))
+    for name, path in paths.items():
+        out = str(tmp_path / name)
+        _run(path, out, 4)
+        assert _committed_rows(out) == want, name
+
+
+def test_failed_staging_task_leaves_no_marker(ray_session, fixture_corpus_dir, tmp_path,
+                                              monkeypatch):
+    """A staging task that raises aborts the run before anything is staged
+    or committed: no ``_COMPLETE`` marker, no ``staging/``.  The next run
+    restages and commits every document exactly once."""
+    import ray
+
+    from swift_readability_ray import tasks as ray_tasks
+    from swift_readability_ray.pipelines import extract_pipeline
+    from swift_readability_ray.state import LineageLog
+
+    stage = ray_tasks.stage_unit._function
+
+    @ray.remote
+    def failing_stage(unit, staging, name, num_partitions):
+        if name == "unit-000001.parquet":
+            raise OSError("injected staging failure")
+        return stage(unit, staging, name, num_partitions)
+
+    inp, tbl = _split_input(
+        os.path.join(fixture_corpus_dir, "documents.parquet"), str(tmp_path / "in"), 3
+    )
+    monkeypatch.setattr(extract_pipeline, "_TARGET_BYTES", 1)  # one unit per file
+    monkeypatch.setattr(ray_tasks, "stage_unit", failing_stage)
+    out = str(tmp_path / "out")
+    with pytest.raises(ray.exceptions.RayTaskError, match="injected staging failure"):
+        _run(inp, out, 4)
+    assert not os.path.exists(os.path.join(out, "staging"))
+    assert not LineageLog(out).completed_partitions()
+    assert not glob.glob(os.path.join(out, "part=*"))
+
+    monkeypatch.undo()
+    res = _run(inp, out, 4)
+    assert res["partitions_completed"] == [0, 1, 2, 3]
+    assert res["rows_processed_this_run"] == tbl.num_rows
+    assert _committed_ids(out) == sorted(tbl.column("doc_id").to_pylist())
+
+
+@pytest.mark.parametrize("bad", [dict(num_partitions=0), dict(num_partitions=-3),
+                                 dict(batch_size=0)])
+def test_bad_parameters_raise_before_writing(fixture_corpus_dir, tmp_path, bad):
+    """``num_partitions`` or ``batch_size`` below 1 raise before the output
+    directory is made: no empty "completed" job, no rows lost to a re-run."""
+    from swift_readability_ray.pipelines import run_resumable_extraction
+
+    out = str(tmp_path / "out")
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        run_resumable_extraction(os.path.join(fixture_corpus_dir, "documents.parquet"),
+                                 out, base_url=BASE_URL, **bad)
+    assert not os.path.exists(out)
+
+
+def test_job_schema_check_covers_every_format(fixture_corpus_dir, tmp_path):
+    """The job refuses a non-DOCUMENTS input in every format it reads, and
+    passes a DOCUMENTS one."""
+    import pyarrow as pa
+    import pyarrow.csv as csv
+
+    from swift_readability_ray.jobs.extract_job import _check_input_schema
+
+    good = pq.read_table(os.path.join(fixture_corpus_dir, "documents.parquet"))
+    wrong = pa.table({"id": ["a", "b"], "text": ["x", "y"]})
+    for name, tbl in (("good", good), ("wrong", wrong)):
+        paths = _write_formats(tbl, str(tmp_path / name))
+        paths["parquet"] = str(tmp_path / name / "parquet")  # a directory of files
+        os.makedirs(paths["parquet"])
+        pq.write_table(tbl, os.path.join(paths["parquet"], "docs.parquet"))
+        if name == "wrong":  # a CSV cannot hold the spans lists
+            paths["csv"] = str(tmp_path / name / "docs.csv")
+            csv.write_csv(tbl, paths["csv"])
+        for fmt, path in paths.items():
+            if name == "good":
+                _check_input_schema(path)
+            else:
+                with pytest.raises(SystemExit, match="DOCUMENTS"):
+                    _check_input_schema(path)
+
+
+def test_task_module_imports_nothing_heavy():
+    """Importing ``swift_readability_ray.tasks`` is the function load of
+    every write-path task, which ``ray.cancel`` can interrupt; it must import
+    none of numpy, pyarrow or pandas, whose half-done imports break a worker
+    for good (each task imports them with cancellation held off)."""
+    import subprocess
+    import sys
+
+    code = ("import sys, swift_readability_ray.tasks; "
+            "print(sorted({'numpy', 'pyarrow', 'pandas'} & set(sys.modules)))")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_resumable_run_leaves_no_driver_threads(ray_session, fixture_corpus_dir, tmp_path):
